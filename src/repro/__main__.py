@@ -50,9 +50,7 @@ Commands
     Differential trace profile of two observed modes: align their
     committed instruction streams, attribute each mode's stall buckets
     to per-PC rows (sums match stalls exactly), and write the
-    ``trace-diff/v1`` artifact.  ``--fast-tier`` instead scores the
-    analytical tier's per-block cost table against cycle-accurate
-    attribution (per-block prediction-error distribution).
+    ``trace-diff/v1`` artifact.
 ``report DIR [--out FILE] [--html]``
     Render the observability dashboard (stall waterfalls, sparklines,
     event summaries, trace diffs) for a ``repro run`` directory or a
@@ -124,13 +122,6 @@ FOUNDRY_DEFENSES = (
     "mte-asymm",
 )
 
-#: Experiments whose numbers come from attack execution (detection
-#: outcomes, tripwire hits), not trace replay — the fast tier only
-#: replaces the replay, so these reject ``--tier fast``.
-ATTACK_EXPERIMENTS = frozenset(
-    {"table3", "security", "attackmatrix", "defensezoo"}
-)
-
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.harness.parallel import ResultCache, WorkUnit, execute_units
@@ -140,28 +131,15 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         if name not in EXPERIMENTS:
             print(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
             return 2
-    if args.tier == "fast":
-        unsupported = [n for n in names if n in ATTACK_EXPERIMENTS]
-        if unsupported:
-            print(
-                f"--tier fast is not supported for attack-driven "
-                f"experiment(s) {', '.join(unsupported)}: their results "
-                f"are detection outcomes, not replay cycles"
-            )
-            return 2
     names = list(dict.fromkeys(names))  # work-unit ids must be unique
     unit_kwargs = {"scale": args.scale, "seed": args.seed}
-    unit_payload = {"scale": args.scale, "seed": args.seed}
-    if args.tier != "accurate":
-        unit_kwargs["tier"] = args.tier
-        unit_payload["tier"] = args.tier
     units = [
         WorkUnit(
             uid=name,
             module=f"repro.experiments.{name}",
             func="regenerate",
             kwargs=dict(unit_kwargs),
-            key_payload={"experiment": name, **unit_payload},
+            key_payload={"experiment": name, **unit_kwargs},
         )
         for name in names
     ]
@@ -245,7 +223,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             retries=args.retries,
             live=args.live,
             progress_queue=progress_queue,
-            tier=args.tier,
         )
     except SweepError as error:
         # Structured failure: name the cell and the worker's error type
@@ -911,11 +888,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.harness.bench import (
-        check_fast_tier,
-        compare_to_baseline,
-        run_bench,
-    )
+    from repro.harness.bench import compare_to_baseline, run_bench
 
     scale = 0.25 if args.quick else args.scale
     repeats = 3 if args.quick else args.repeats
@@ -925,26 +898,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         repeats=repeats,
         progress=print,
-        tier=args.tier,
     )
     if args.out:
         Path(args.out).write_text(
             json.dumps(manifest, indent=1, sort_keys=True) + "\n"
         )
         print(f"wrote {args.out}")
-    status = 0
-    if args.tier == "fast":
-        # Self-gate: divergence within the declared tolerance and warm
-        # replay at least --min-speedup over the accurate tier.
-        problems = check_fast_tier(manifest, min_speedup=args.min_speedup)
-        if problems:
-            for problem in problems:
-                print(f"FAST TIER: {problem}")
-            status = 1
-        else:
-            tol = manifest["declared_tolerance_pct"]
-            print(f"fast tier within ±{tol:.0f}% of the accurate tier on "
-                  f"every mode (warm speedup ≥ {args.min_speedup:.0f}x)")
     if args.baseline:
         try:
             baseline = json.loads(Path(args.baseline).read_text())
@@ -962,7 +921,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"all modes within {args.max_regression:.0%} of baseline "
             f"{args.baseline}"
         )
-    return status
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -970,16 +929,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs.sampler import DEFAULT_INTERVAL
 
     modes = args.modes if args.modes else None
-    if args.tier == "fast" and (args.trace_out or args.o3
-                                or args.sample_interval):
-        print("--tier fast replays analytically: no sampler, event "
-              "trace, or O3 pipeline view is produced "
-              "(drop --sample-interval/--trace-out/--o3)")
-        return 2
     if args.diff:
-        if args.tier != "accurate" or not args.trace_out:
+        if not args.trace_out:
             print("--diff needs the per-uop event streams: add "
-                  "--trace-out and use the accurate tier")
+                  "--trace-out")
             return 2
         if modes is not None:
             for name in args.diff:
@@ -997,7 +950,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         events=args.trace_out,
         o3=args.o3,
         progress=print,
-        tier=args.tier,
         diff=tuple(args.diff) if args.diff else None,
     )
     print(f"wrote {len(summary['modes'])} mode(s) to {args.outdir}")
@@ -1008,44 +960,20 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.obs.diff import (
-        build_fast_tier_diff,
         build_trace_diff,
         render_diff_text,
-        render_fast_tier_text,
         write_trace_diff,
     )
 
-    if args.fast_tier:
-        artifact = build_fast_tier_diff(
-            benchmark=args.benchmark,
-            mode=args.mode,
-            scale=args.scale,
-            seed=args.seed,
-            top=args.top,
-        )
-        lines = render_fast_tier_text(artifact)
-    else:
-        if not args.dir:
-            print("diff needs a `repro run` directory (or --fast-tier)")
-            return 2
-        try:
-            artifact = build_trace_diff(
-                args.dir, args.a, args.b, top=args.top
-            )
-        except FileNotFoundError as error:
-            print(f"diff failed: {error}")
-            return 2
-        except ValueError as error:
-            print(f"diff failed: {error}")
-            return 2
-        lines = render_diff_text(artifact)
-    out = args.out
-    if out is None and args.dir and not args.fast_tier:
-        out = str(Path(args.dir) / "trace-diff.json")
-    if out is not None:
-        write_trace_diff(artifact, out)
-        print(f"wrote {out}")
-    print("\n".join(lines))
+    try:
+        artifact = build_trace_diff(args.dir, args.a, args.b, top=args.top)
+    except (FileNotFoundError, ValueError) as error:
+        print(f"diff failed: {error}")
+        return 2
+    out = args.out or str(Path(args.dir) / "trace-diff.json")
+    write_trace_diff(artifact, out)
+    print(f"wrote {out}")
+    print("\n".join(render_diff_text(artifact)))
     return 0
 
 
@@ -1083,10 +1011,6 @@ def main(argv=None) -> int:
     p_exp.add_argument("--retries", type=int, default=0, metavar="N",
                        help="extra attempts per failed unit before "
                             "quarantine")
-    p_exp.add_argument("--tier", choices=("accurate", "fast"),
-                       default="accurate",
-                       help="simulation tier (fast = analytical block "
-                            "replay; attack-driven experiments reject it)")
     p_exp.set_defaults(handler=_cmd_experiments)
 
     p_sweep = sub.add_parser(
@@ -1108,10 +1032,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--live", action="store_true",
                          help="stream per-cell sampler snapshots while "
                               "cells run (results are unaffected)")
-    p_sweep.add_argument("--tier", choices=("accurate", "fast"),
-                         default="accurate",
-                         help="simulation tier (fast = analytical block "
-                              "replay; incompatible with --live)")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_chaos = sub.add_parser(
@@ -1254,15 +1174,6 @@ def main(argv=None) -> int:
     p_bench.add_argument("--max-regression", type=float, default=0.30,
                          help="allowed throughput drop vs baseline "
                               "(fraction, default 0.30)")
-    p_bench.add_argument("--tier", choices=("accurate", "fast"),
-                         default="accurate",
-                         help="also time the fast tier and gate its "
-                              "divergence/speedup against the accurate "
-                              "runs")
-    p_bench.add_argument("--min-speedup", type=float, default=10.0,
-                         metavar="X",
-                         help="required warm fast-tier speedup over the "
-                              "accurate tier (default 10)")
     p_bench.set_defaults(handler=_cmd_bench)
 
     p_run = sub.add_parser(
@@ -1284,11 +1195,6 @@ def main(argv=None) -> int:
                        help="export structured events as JSONL")
     p_run.add_argument("--o3", action="store_true",
                        help="export a gem5 O3PipeView trace per mode")
-    p_run.add_argument("--tier", choices=("accurate", "fast"),
-                       default="accurate",
-                       help="simulation tier (fast = analytical block "
-                            "replay with a predicted-vs-measured "
-                            "divergence artifact per mode)")
     p_run.add_argument("--diff", nargs=2, metavar=("A", "B"),
                        help="also build the trace-diff artifact for "
                             "these two modes (requires --trace-out)")
@@ -1297,30 +1203,17 @@ def main(argv=None) -> int:
     p_diff = sub.add_parser(
         "diff", help="differential trace profile of two defense modes"
     )
-    p_diff.add_argument("dir", nargs="?", default=None,
+    p_diff.add_argument("dir",
                         help="repro run outdir (with --trace-out events)")
     p_diff.add_argument("--a", default="plain", metavar="MODE",
                         help="baseline mode (default plain)")
     p_diff.add_argument("--b", default="rest-debug", metavar="MODE",
                         help="compared mode (default rest-debug)")
     p_diff.add_argument("--top", type=_positive_int, default=20,
-                        help="top delta PCs / worst blocks to keep")
+                        help="top delta PCs to keep")
     p_diff.add_argument("--out", default=None, metavar="FILE",
                         help="artifact path (default: "
                              "<dir>/trace-diff.json)")
-    p_diff.add_argument("--fast-tier", action="store_true",
-                        help="score the fast tier's per-block cost "
-                             "table against cycle-accurate attribution "
-                             "instead of diffing two modes")
-    p_diff.add_argument("--benchmark", default="xalancbmk",
-                        help="fast-tier mode: benchmark to score")
-    p_diff.add_argument("--mode", default="rest-debug",
-                        help="fast-tier mode: defense mode to score")
-    p_diff.add_argument("--scale", type=float, default=0.5,
-                        help="fast-tier mode: workload scale (needs to "
-                             "be big enough to leave post-slice blocks)")
-    p_diff.add_argument("--seed", type=int, default=1234,
-                        help="fast-tier mode: workload seed")
     p_diff.set_defaults(handler=_cmd_diff)
 
     p_rep = sub.add_parser(

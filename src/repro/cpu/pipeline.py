@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.modes import Mode
@@ -691,7 +691,7 @@ class OutOfOrderCore:
                 # the end of the run so they survive ring wraparound of
                 # the per-uop stream; per-cause sums equal the raw
                 # aggregate counters exactly, which the trace-diff
-                # profiler's apportionment relies on (INTERNALS §13).
+                # profiler's apportionment relies on (INTERNALS §12).
                 for cause, pc in sorted(pc_stalls):
                     emit(
                         "pcstall",
@@ -700,49 +700,6 @@ class OutOfOrderCore:
                         pc=pc,
                         cycles=pc_stalls[(cause, pc)],
                     )
-
-    def run_attributed(
-        self,
-        uops: Sequence[MicroOp],
-        boundaries: Sequence[int],
-        max_cycles: Optional[int] = None,
-    ):
-        """Run the trace, attributing cycles to committed-uop spans.
-
-        ``boundaries`` is an ascending list of cumulative committed-uop
-        counts (block ends, see :func:`repro.cpu.blocks.block_boundaries`).
-        Returns ``(stats, costs)`` where ``costs[i]`` is the number of
-        cycles between the commit of boundary ``i-1`` and boundary
-        ``i``.  Commits happen only on stepped cycles (fast-forwarded
-        spans by definition make no progress), so watching
-        ``stats.committed`` cross each boundary is exact.  Several
-        boundaries crossed in one cycle leave the later spans at zero
-        cost — the shared cycle is charged to the first span — so the
-        costs always sum to the total cycles consumed.
-
-        This is the fast tier's characterization hook: the simulated
-        state (caches, predictor, stats) is identical to a plain
-        :meth:`run` of the same uops.
-        """
-        stats = self.stats
-        costs = [0] * len(boundaries)
-        index = 0
-        last_cycle = self._cycle
-        n_bounds = len(boundaries)
-        for _ in self.run_stepwise(
-            uops, max_cycles=max_cycles, fast_forward=True
-        ):
-            committed = stats.committed
-            while index < n_bounds and committed >= boundaries[index]:
-                cycle = self._cycle
-                costs[index] = cycle - last_cycle
-                last_cycle = cycle
-                index += 1
-        while index < n_bounds:
-            costs[index] = self._cycle - last_cycle
-            last_cycle = self._cycle
-            index += 1
-        return stats, costs
 
     def _execute(
         self,

@@ -33,8 +33,7 @@ COMPONENTS = [
 DEFAULT_SCALE = 0.25
 
 
-def run(scale: float = DEFAULT_SCALE, seed: int = 1234, progress=None,
-        tier: str = "accurate"):
+def run(scale: float = DEFAULT_SCALE, seed: int = 1234, progress=None):
     specs = [
         DefenseSpec.asan(name=f"cum:{label}", **toggles)
         for label, toggles in COMPONENTS
@@ -42,8 +41,7 @@ def run(scale: float = DEFAULT_SCALE, seed: int = 1234, progress=None,
     config = SimulationConfig(
         core=CoreConfig.in_order(), scale=scale, seed=seed
     )
-    return run_suite(ALL_PROFILES, specs, config, progress=progress,
-                     tier=tier)
+    return run_suite(ALL_PROFILES, specs, config, progress=progress)
 
 
 def breakdown(results) -> Dict[str, Dict[str, float]]:
@@ -86,9 +84,8 @@ def render(results) -> str:
     return table + "\n\n" + chart
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234,
-               tier: str = "accurate") -> str:
-    return render(run(scale=scale, seed=seed, tier=tier))
+def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
+    return render(run(scale=scale, seed=seed))
 
 
 if __name__ == "__main__":

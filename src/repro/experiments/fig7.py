@@ -32,12 +32,10 @@ PAPER_VALUES = {
 }
 
 
-def run(scale: float = DEFAULT_SCALE, seed: int = 1234, progress=None,
-        tier: str = "accurate"):
+def run(scale: float = DEFAULT_SCALE, seed: int = 1234, progress=None):
     """Run the full Figure 7 suite; returns results[bench][spec]."""
     config = make_config(scale=scale, seed=seed)
-    return run_suite(ALL_PROFILES, figure7_specs(), config,
-                     progress=progress, tier=tier)
+    return run_suite(ALL_PROFILES, figure7_specs(), config, progress=progress)
 
 
 def render(results) -> str:
@@ -74,9 +72,8 @@ def render(results) -> str:
     return table + "\n\n" + chart
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234,
-               tier: str = "accurate") -> str:
-    return render(run(scale=scale, seed=seed, tier=tier))
+def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
+    return render(run(scale=scale, seed=seed))
 
 
 if __name__ == "__main__":

@@ -16,11 +16,9 @@ from repro.harness.reporting import bar_chart, format_table, overhead_matrix
 from repro.workloads.spec import ALL_PROFILES
 
 
-def run(scale: float = DEFAULT_SCALE, seed: int = 1234, progress=None,
-        tier: str = "accurate"):
+def run(scale: float = DEFAULT_SCALE, seed: int = 1234, progress=None):
     config = make_config(scale=scale, seed=seed)
-    return run_suite(ALL_PROFILES, figure8_specs(), config,
-                     progress=progress, tier=tier)
+    return run_suite(ALL_PROFILES, figure8_specs(), config, progress=progress)
 
 
 def render(results) -> str:
@@ -68,9 +66,8 @@ def render(results) -> str:
     return table + "\n\n" + "\n".join(spreads) + "\n\n" + chart
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234,
-               tier: str = "accurate") -> str:
-    return render(run(scale=scale, seed=seed, tier=tier))
+def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
+    return render(run(scale=scale, seed=seed))
 
 
 if __name__ == "__main__":

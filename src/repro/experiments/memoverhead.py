@@ -40,11 +40,7 @@ def _measure(profile, defense_factory, scale: float, seed: int) -> Dict[str, flo
     }
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234,
-               tier: str = "accurate") -> str:
-    # Memory overhead is measured in the trace phase (allocator and
-    # shadow bookkeeping); there is no replay, so ``tier`` is accepted
-    # for CLI uniformity but has no effect.
+def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
     factories = {
         "plain": PlainDefense,
         "asan": AsanDefense,

@@ -6,9 +6,7 @@ from repro.experiments.common import cli_main
 from repro.harness.configs import table2_text
 
 
-def regenerate(scale: float = 1.0, seed: int = 1234,
-               tier: str = "accurate") -> str:
-    # Static configuration text; ``tier`` accepted for CLI uniformity.
+def regenerate(scale: float = 1.0, seed: int = 1234) -> str:
     return table2_text()
 
 

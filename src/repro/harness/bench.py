@@ -44,14 +44,6 @@ BENCH_VOLATILE_FIELDS = VOLATILE_FIELDS | frozenset(
         "trace_gen_seconds",
         "speedup",
         "reference",
-        # fast-tier timing fields (the divergence numbers are
-        # deterministic and deliberately NOT in this set)
-        "accurate_seconds",
-        "cold_seconds",
-        "warm_best_seconds",
-        "warm_all_seconds",
-        "speedup_cold",
-        "speedup_warm",
     }
 )
 
@@ -91,7 +83,6 @@ def run_bench(
     repeats: int = 5,
     modes: Optional[List[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
-    tier: str = "accurate",
 ) -> Dict:
     """Benchmark trace replay; returns the manifest dict.
 
@@ -99,14 +90,6 @@ def run_bench(
     ``trace_gen_seconds``) and replayed ``repeats`` times on a fresh
     hierarchy + core; the minimum replay wall time produces the
     throughput figures.
-
-    With ``tier="fast"`` each mode is additionally replayed through
-    the analytical fast tier (:mod:`repro.fasttier`): once cold
-    (characterizing against a fresh memo) and ``repeats - 1`` times
-    memo-warm.  The manifest then carries, per mode, the deterministic
-    fast-vs-accurate cycle divergence and the (volatile) cold/warm
-    speedups over one timed accurate replay — the numbers
-    :func:`check_fast_tier` gates in CI.
     """
     from repro.cpu.pipeline import OutOfOrderCore
     from repro.harness.configs import SimulationConfig
@@ -120,10 +103,6 @@ def run_bench(
 
     if repeats <= 0:
         raise ValueError("repeats must be positive")
-    from repro.fasttier import TIERS
-
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; known: {', '.join(TIERS)}")
     specs = bench_specs()
     mode_names = list(modes) if modes else list(BENCH_MODES)
     for name in mode_names:
@@ -139,13 +118,8 @@ def run_bench(
         "scale": scale,
         "seed": seed,
         "repeats": repeats,
-        "tier": tier,
         "modes": {},
     }
-    if tier == "fast":
-        from repro.fasttier import DECLARED_TOLERANCE
-
-        manifest["declared_tolerance_pct"] = DECLARED_TOLERANCE * 100.0
     for name in mode_names:
         spec = specs[name]
         t0 = time.perf_counter()
@@ -191,49 +165,6 @@ def run_bench(
                 f"{entry['cycles_per_sec']:>9,} cycles/s)"
             )
             progress(f"{'':12s} {format_stall_line(stats)}")
-
-        if tier == "fast":
-            from repro.fasttier import BlockMemo, FastTierEngine
-
-            engine = FastTierEngine(BlockMemo())
-            t0 = time.perf_counter()
-            cold = engine.run(trace, spec, config)
-            cold_seconds = time.perf_counter() - t0
-            warm_times = []
-            warm = cold
-            for _ in range(max(1, repeats - 1)):
-                t0 = time.perf_counter()
-                warm = engine.run(trace, spec, config)
-                warm_times.append(time.perf_counter() - t0)
-            warm_best = min(warm_times)
-            if warm.stats != cold.stats:
-                raise AssertionError(
-                    f"{name}: memo-warm fast-tier stats diverged from the "
-                    "cold characterization run (determinism bug)"
-                )
-            entry = manifest["modes"][name]
-            divergence = 100.0 * (cold.stats.cycles - stats.cycles) / (
-                stats.cycles or 1
-            )
-            entry.update(
-                {
-                    "fast_cycles": cold.stats.cycles,
-                    "divergence_pct": round(divergence, 2),
-                    "fast_check": dict(cold.divergence.get("check", {})),
-                    "cold_seconds": round(cold_seconds, 4),
-                    "warm_best_seconds": round(warm_best, 6),
-                    "warm_all_seconds": [round(t, 6) for t in warm_times],
-                    "speedup_cold": round(best / cold_seconds, 2),
-                    "speedup_warm": round(best / warm_best, 1),
-                }
-            )
-            if progress is not None:
-                progress(
-                    f"{'':12s} fast tier: {entry['fast_cycles']:,} cycles "
-                    f"({entry['divergence_pct']:+.2f}% vs accurate), "
-                    f"warm replay {entry['speedup_warm']:,.0f}x, "
-                    f"cold {entry['speedup_cold']:.1f}x"
-                )
     return manifest
 
 
@@ -303,61 +234,5 @@ def compare_to_baseline(
                 f"{name}: throughput {cur_rate:,} uops/s is more than "
                 f"{max_regression:.0%} below baseline {base_rate:,} uops/s"
             )
-        base_div = base.get("divergence_pct")
-        cur_div = cur.get("divergence_pct")
-        if base_div is not None and cur_div is not None and base_div != cur_div:
-            problems.append(
-                f"{name}: fast-tier divergence changed "
-                f"{base_div:+.2f}% -> {cur_div:+.2f}% "
-                f"(fast-tier behaviour drifted)"
-            )
     return problems
 
-
-def check_fast_tier(
-    manifest: Dict,
-    min_speedup: float = 10.0,
-    tolerance: Optional[float] = None,
-) -> List[str]:
-    """Problems with a fast-tier bench manifest (empty = pass).
-
-    Gates the two promises ``--tier fast`` makes, per mode:
-
-    * the fast-tier cycle count is within ``tolerance`` (fraction,
-      default :data:`repro.fasttier.DECLARED_TOLERANCE`) of the
-      accurate tier's — checked on the *deterministic* divergence
-      field, so a violation is a real model regression, never noise;
-    * the memo-warm replay is at least ``min_speedup`` times faster
-      than the accurate replay of the same trace (wall clock, so run
-      this gate on quiet machines only — CI uses the same 10x bar the
-      docs promise, far under the >100x a warm replay typically hits).
-    """
-    if tolerance is None:
-        from repro.fasttier import DECLARED_TOLERANCE
-
-        tolerance = DECLARED_TOLERANCE
-    problems: List[str] = []
-    if manifest.get("tier") != "fast":
-        problems.append(
-            f"manifest tier is {manifest.get('tier')!r}, expected 'fast' "
-            "(was the bench run with --tier fast?)"
-        )
-        return problems
-    bound_pct = tolerance * 100.0
-    for name, entry in manifest.get("modes", {}).items():
-        div = entry.get("divergence_pct")
-        speedup = entry.get("speedup_warm")
-        if div is None or speedup is None:
-            problems.append(f"{name}: missing fast-tier fields")
-            continue
-        if abs(div) > bound_pct:
-            problems.append(
-                f"{name}: fast-tier divergence {div:+.2f}% exceeds the "
-                f"declared ±{bound_pct:.0f}% tolerance"
-            )
-        if speedup < min_speedup:
-            problems.append(
-                f"{name}: warm fast-tier speedup {speedup:.1f}x is below "
-                f"the required {min_speedup:.0f}x"
-            )
-    return problems

@@ -39,12 +39,6 @@ class RunResult:
     hierarchy_stats: object
     l1d_miss_rate: float
     l2_miss_rate: float
-    #: Which simulation tier produced the replay ("accurate" or
-    #: "fast"); fast runs also carry the engine's meta/divergence
-    #: payloads for the observability surfaces.
-    tier: str = "accurate"
-    fast_meta: Optional[Dict] = None
-    fast_divergence: Optional[Dict] = None
 
     @property
     def runtime(self) -> float:
@@ -123,7 +117,6 @@ def run_benchmark(
     core_config=None,
     on_sample: Optional[Callable] = None,
     sample_interval: Optional[int] = None,
-    tier: str = "accurate",
 ) -> RunResult:
     """Simulate one benchmark under one defense spec.
 
@@ -133,22 +126,7 @@ def run_benchmark(
     --live`` and the job service.  The sampled replay is
     stats-identical to the plain one, so results (and cache entries)
     do not depend on whether a run was observed.
-
-    ``tier="fast"`` replays the generated trace through the analytical
-    fast tier (:mod:`repro.fasttier`) instead of the cycle-accurate
-    core, sharing the process-wide block memo so repeated runs of the
-    same cell replay from the characterization.  The sampler needs the
-    real pipeline, so ``on_sample`` requires the accurate tier.
     """
-    from repro.fasttier import TIERS
-
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; known: {', '.join(TIERS)}")
-    if tier == "fast" and on_sample is not None:
-        raise ValueError(
-            "the interval sampler steps the cycle-accurate pipeline; "
-            "on_sample requires tier='accurate'"
-        )
     config = config or SimulationConfig()
 
     # Phase 1: generate the trace through the defense's software stack.
@@ -164,28 +142,7 @@ def run_benchmark(
     workload_stats = workload.run()
     trace = trace_machine.take_trace()
 
-    # Phase 2: replay — cycle-accurately, or through the fast tier.
-    if tier == "fast":
-        from repro.fasttier import DEFAULT_MEMO, FastTierEngine
-
-        engine = FastTierEngine(DEFAULT_MEMO)
-        fast = engine.run(trace, spec, config, core_config=core_config)
-        return RunResult(
-            benchmark=profile.name,
-            spec=spec,
-            cycles=fast.stats.cycles,
-            instructions=fast.stats.committed,
-            app_instructions=workload_stats.app_instructions,
-            core_stats=fast.stats,
-            workload_stats=workload_stats,
-            hierarchy_stats=fast.hierarchy_stats,
-            l1d_miss_rate=fast.l1d_miss_rate,
-            l2_miss_rate=fast.l2_miss_rate,
-            tier="fast",
-            fast_meta=fast.meta,
-            fast_divergence=fast.divergence,
-        )
-
+    # Phase 2: replay on the cycle-level core with REST hardware.
     hierarchy = _make_hierarchy(spec, config)
     core = OutOfOrderCore(hierarchy, config=core_config or config.core)
     if on_sample is None:
@@ -220,7 +177,6 @@ def run_suite(
     config: Optional[SimulationConfig] = None,
     include_plain: bool = True,
     progress: Optional[Callable[[str], None]] = None,
-    tier: str = "accurate",
 ) -> Dict[str, Dict[str, RunResult]]:
     """Run every (benchmark, spec) pair; returns results[bench][spec].
 
@@ -237,8 +193,6 @@ def run_suite(
         for spec in all_specs:
             if progress is not None:
                 progress(f"{profile.name} / {spec.name}")
-            per_bench[spec.name] = run_benchmark(
-                profile, spec, config, tier=tier
-            )
+            per_bench[spec.name] = run_benchmark(profile, spec, config)
         results[profile.name] = per_bench
     return results

@@ -23,7 +23,7 @@ zero-length stages.  Ticks are ``cycle * cycle_ticks`` with the default
 so traces open with stock viewer settings.
 
 Fetch events stamped with a ``seq`` (the core previews the dispatch
-sequence number at fetch, see INTERNALS §13) pair with the dispatch
+sequence number at fetch, see INTERNALS §12) pair with the dispatch
 event carrying the same ``seq`` directly; unstamped legacy streams fall
 back to FIFO pairing (the frontend is in order, so the Nth fetch is the
 Nth dispatch).  Records missing any stage (their early events were

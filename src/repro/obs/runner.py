@@ -9,11 +9,9 @@ directory::
       run.json              summary: config, per-mode cycles/CPI and
                             verified stall buckets, artifact paths
       stats-<mode>.txt      full gem5-style stats dump (incl. stalls)
-      samples-<mode>.jsonl  interval time series (accurate tier)
+      samples-<mode>.jsonl  interval time series (always)
       events-<mode>.jsonl   structured event trace (--trace-out)
       o3-<mode>.trace       gem5 O3PipeView pipeline trace (--o3)
-      fasttier-<mode>.json  predicted-vs-measured divergence of the
-                            analytical replay (--tier fast)
 
 ``repro report <outdir>`` renders the directory as a text or HTML
 dashboard (see :mod:`repro.obs.report`).
@@ -41,7 +39,6 @@ def run_observed(
     events: bool = False,
     o3: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    tier: str = "accurate",
     diff: Optional[Tuple[str, str]] = None,
 ) -> Dict:
     """Run ``benchmark`` under each mode with observability attached.
@@ -50,17 +47,10 @@ def run_observed(
     and O3PipeView export are opt-in because they record per-uop data;
     sampling and stall accounting are always on — they are cheap.
 
-    ``tier="fast"`` replays each mode through the analytical fast tier
-    instead of the cycle-accurate core.  There is no pipeline to
-    observe, so the sampler, event tracer, and O3 export are
-    unavailable; each mode instead gets a ``fasttier-<mode>.json``
-    artifact with the calibration check and the per-block-class
-    predicted-vs-measured divergence that ``repro report`` renders.
-
     ``diff=(mode_a, mode_b)`` additionally builds the trace-diff/v1
     artifact (``trace-diff.json``, see :mod:`repro.obs.diff`) from the
     two modes' event streams before ``run.json`` is written; requires
-    ``events=True`` and the accurate tier.
+    ``events=True``.
     """
     from repro.cpu.pipeline import OutOfOrderCore
     from repro.harness.bench import BENCH_MODES, bench_specs
@@ -76,19 +66,10 @@ def run_observed(
     from repro.workloads.generator import SyntheticWorkload
     from repro.workloads.spec import profile_by_name
 
-    from repro.fasttier import TIERS
-
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; known: {', '.join(TIERS)}")
-    if tier == "fast" and (events or o3):
+    if diff is not None and not events:
         raise ValueError(
-            "the fast tier replays analytically — no per-uop events or "
-            "O3 pipeline view exist; use tier='accurate'"
-        )
-    if diff is not None and (tier != "accurate" or not events):
-        raise ValueError(
-            "diff needs the per-uop event streams: use the accurate "
-            "tier with events=True (`repro run --trace-out`)"
+            "diff needs the per-uop event streams: use events=True "
+            "(`repro run --trace-out`)"
         )
 
     out = Path(outdir)
@@ -108,7 +89,6 @@ def run_observed(
         "scale": scale,
         "seed": seed,
         "interval": interval,
-        "tier": tier,
         "modes": {},
     }
     for name in mode_names:
@@ -130,61 +110,7 @@ def run_observed(
         ).run()
         trace = machine.take_trace()
 
-        # Phase 2: replay — sampled cycle-accurately, or analytically.
-        if tier == "fast":
-            from repro.fasttier import DEFAULT_MEMO, FastTierEngine
-
-            engine = FastTierEngine(DEFAULT_MEMO)
-            fast = engine.run(trace, spec, config)
-            stats = fast.stats
-            buckets = verify_buckets(stats)
-            result = RunResult(
-                benchmark=profile.name,
-                spec=spec,
-                cycles=stats.cycles,
-                instructions=stats.committed,
-                app_instructions=workload_stats.app_instructions,
-                core_stats=stats,
-                workload_stats=workload_stats,
-                hierarchy_stats=fast.hierarchy_stats,
-                l1d_miss_rate=fast.l1d_miss_rate,
-                l2_miss_rate=fast.l2_miss_rate,
-                tier="fast",
-                fast_meta=fast.meta,
-                fast_divergence=fast.divergence,
-            )
-            entry = {
-                "defense": spec.name,
-                "tier": "fast",
-                "cycles": stats.cycles,
-                "committed": stats.committed,
-                "cpi": round(stats.cpi, 4),
-                "buckets": buckets,
-                "stats_file": f"stats-{name}.txt",
-                "fasttier_file": f"fasttier-{name}.json",
-                "memo_hit": fast.memo_hit,
-            }
-            (out / entry["stats_file"]).write_text(
-                format_stats(result) + "\n"
-            )
-            (out / entry["fasttier_file"]).write_text(
-                json.dumps(
-                    {"meta": fast.meta, "divergence": fast.divergence},
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            payload["modes"][name] = entry
-            if progress is not None:
-                progress(
-                    f"{name:12s} {stats.cycles:>10,} cycles  "
-                    f"CPI {stats.cpi:.2f}  fast tier "
-                    f"({fast.meta['extrapolated_blocks']} blocks "
-                    f"extrapolated)"
-                )
-            continue
-
+        # Phase 2: replay with sampler (+ tracer) attached.
         hierarchy = _make_hierarchy(spec, config)
         core = OutOfOrderCore(hierarchy, config=config.core)
         if tracer is not None:

@@ -29,7 +29,7 @@ Events serialise to JSONL (one JSON object per line) via
 :func:`write_jsonl`/:func:`read_jsonl`, which is what ``repro run
 --trace-out`` stores and ``repro report`` consumes.
 
-Identity fields (INTERNALS §13): per-uop events carry ``seq`` (the
+Identity fields (INTERNALS §12): per-uop events carry ``seq`` (the
 dynamic sequence number — previewed at fetch, assigned at dispatch,
 dense over commits) and ``sid`` (the static statement id the trace
 generator stamped per code address), so ``repro diff`` can align two

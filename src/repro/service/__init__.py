@@ -1,6 +1,6 @@
 """Simulation job service: daemon, fabric, scheduler, protocol, client.
 
-See INTERNALS.md §10 (single-daemon service) and §14 (distributed
+See INTERNALS.md §10 (single-daemon service) and §13 (distributed
 fabric) for the architecture.  Quick tour:
 
 * :mod:`repro.service.protocol` — versioned JSON-lines wire format,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.harness.parallel import (
     UnitResult,
@@ -95,7 +95,9 @@ class UnitExecutor:
         attempt = 1
         cpu = wall = 0.0
         while True:
-            result = await asyncio.to_thread(self._attempt, unit, attempt, tag)
+            result, exit_code = await asyncio.to_thread(
+                self._attempt, unit, attempt, tag
+            )
             cpu += result.cpu_seconds
             wall += result.wall_seconds
             error_type = (result.error or {}).get("type")
@@ -103,7 +105,8 @@ class UnitExecutor:
                 emit("fault.timeout", {"uid": unit.uid, "attempt": attempt,
                                        "timeout": self.timeout})
             elif error_type == "WorkerCrash":
-                emit("fault.crash", {"uid": unit.uid, "attempt": attempt})
+                emit("fault.crash", {"uid": unit.uid, "attempt": attempt,
+                                     "exit_code": exit_code})
             aborted = error_type == "WorkerAborted"
             if result.ok or aborted or attempt > self.retries or self._draining:
                 result.cpu_seconds, result.wall_seconds = cpu, wall
@@ -134,13 +137,16 @@ class UnitExecutor:
             await asyncio.sleep(delay)
             attempt += 1
 
-    def _attempt(self, unit: WorkUnit, attempt: int, tag: Optional[str]) -> UnitResult:
+    def _attempt(
+        self, unit: WorkUnit, attempt: int, tag: Optional[str]
+    ) -> Tuple[UnitResult, Optional[int]]:
         """One supervised attempt; blocking — runs in a worker thread.
 
         Mirrors the engine's ``_run_supervised`` per-connection logic:
         pipe EOF without a result is a hard crash, the per-unit
         ``timeout`` SIGKILLs a hung worker, and an expired drain
         deadline SIGKILLs with a ``WorkerAborted`` error instead.
+        Returns the result and, for a crash, the worker's exit code.
         """
         parent_conn, child_conn = self.context.Pipe(duplex=False)
         task = (unit.uid, unit.module, unit.func, unit.kwargs, attempt)
@@ -156,7 +162,9 @@ class UnitExecutor:
             started + self.timeout if self.timeout is not None else None
         )
 
-        def kill_with(error_type: str, message: str) -> UnitResult:
+        def kill_with(
+            error_type: str, message: str
+        ) -> Tuple[UnitResult, None]:
             process.kill()
             process.join(timeout=5.0)
             parent_conn.close()
@@ -167,7 +175,7 @@ class UnitExecutor:
                        "traceback": ""},
                 wall_seconds=time.monotonic() - started,
                 attempts=attempt,
-            )
+            ), None
 
         try:
             while True:
@@ -175,8 +183,11 @@ class UnitExecutor:
                     try:
                         result = parent_conn.recv()
                     except (EOFError, OSError):
-                        code = process.exitcode
+                        # EOF can arrive before the worker has exited
+                        # (it closed the pipe, then died): reap first so
+                        # the exit code is known.
                         process.join(timeout=5.0)
+                        code = process.exitcode
                         return UnitResult(
                             uid=unit.uid,
                             ok=False,
@@ -190,9 +201,9 @@ class UnitExecutor:
                             },
                             wall_seconds=time.monotonic() - started,
                             attempts=attempt,
-                        )
+                        ), code
                     process.join(timeout=5.0)
-                    return result
+                    return result, None
                 now = time.monotonic()
                 if deadline is not None and now >= deadline:
                     return kill_with(

@@ -147,7 +147,7 @@ class TestFastForwardIdentity:
         """Per-(cause, pc) stall events sum exactly to the raw
         aggregate counters — including fast-forwarded spans.  This is
         the exactness the trace-diff per-PC apportionment builds on
-        (INTERNALS §13)."""
+        (INTERNALS §12)."""
         from repro.obs.tracer import RingTracer, attach_tracer
 
         spec, trace = _trace_for(mode_name)

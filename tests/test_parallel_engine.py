@@ -88,6 +88,48 @@ class TestUnitPrimitives:
         assert cache.hits == 1 and cache.misses == 2 and cache.stores == 1
 
 
+class TestCacheKeyPins:
+    """Accurate cache identity is frozen: these digests were computed
+    with salt ``test-salt`` and must never move, or every result cache
+    on disk silently goes cold."""
+
+    def test_seed_sweep_cell_key(self):
+        units = sweep_units(
+            [profile_by_name("sjeng")],
+            [DefenseSpec.rest("Secure Full")],
+            seeds=(7,),
+            scale=0.5,
+        )
+        keys = {unit.uid: unit.cache_key() for unit in units}
+        assert keys == {
+            "sjeng/Plain/7": "08762bf6f79dd69d3c2f394ae9e6b2ea"
+            "e76248f8e162c6af071a8875c5293306",
+            "sjeng/Secure Full/7": "88c4f1f7da7ea797c49f6eb2a2899acf"
+            "70ddef84c8c3b70ace2189d4752d6aee",
+        }
+
+    def test_experiments_cli_unit_key(self, monkeypatch):
+        import repro.harness.parallel as parallel
+        from repro.__main__ import main
+        from repro.harness.parallel import UnitResult
+
+        captured = []
+
+        def fake_execute(units, **_):
+            captured.extend(units)
+            return {
+                unit.uid: UnitResult(uid=unit.uid, ok=True, value="")
+                for unit in units
+            }
+
+        monkeypatch.setattr(parallel, "execute_units", fake_execute)
+        assert main(["experiments", "fig7"]) == 0
+        assert [unit.cache_key() for unit in captured] == [
+            "4deaf7090cd6aab9f51e1692895de031"
+            "cea34d7c209c616dfef2e0181ad2a242"
+        ]
+
+
 class TestDeterminism:
     def test_parallel_matches_serial_byte_for_byte(
         self, tmp_path, fast_experiments

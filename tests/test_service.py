@@ -8,6 +8,7 @@ CLI verbs use.  Socket paths come from a short ``/tmp`` tempdir because
 
 import asyncio
 import json
+import os
 import shutil
 import tempfile
 import threading
@@ -19,9 +20,10 @@ import pytest
 
 from repro.experiments.run_all import run_all
 from repro.faults.plan import ALWAYS, FaultPlan, FaultSpec
-from repro.harness.parallel import strip_volatile
+from repro.harness.parallel import WorkUnit, strip_volatile
 from repro.service import ServiceClient, ServiceError, wait_for_daemon
 from repro.service.daemon import Daemon, ServiceConfig
+from repro.service.pool import UnitExecutor
 from repro.service.scheduler import QUEUE_FILE
 
 
@@ -313,6 +315,30 @@ class TestFaultedJobs:
         assert manifest["experiments"]["_selftest"]["status"] == "error"
         assert manifest["experiments"]["table1"]["status"] == "ok"
         assert "_selftest" in manifest["quarantine"]
+
+
+def close_pipe_then_exit(delay: float = 0.5) -> None:
+    """Unit target: drop every inherited fd (the result pipe included),
+    linger, then die — the supervisor sees EOF while we still live."""
+    os.closerange(3, 1 << 16)
+    time.sleep(delay)
+    os._exit(3)
+
+
+class TestUnitExecutorCrash:
+    def test_crash_reports_exit_code_after_early_eof(self):
+        unit = WorkUnit(uid="crash", module=__name__,
+                        func="close_pipe_then_exit")
+        events = []
+        result = asyncio.run(
+            UnitExecutor().run_unit(
+                unit, on_event=lambda kind, info: events.append((kind, info))
+            )
+        )
+        assert result.error["type"] == "WorkerCrash"
+        assert "exit code 3" in result.error["message"]
+        crashes = [info for kind, info in events if kind == "fault.crash"]
+        assert [info["exit_code"] for info in crashes] == [3]
 
 
 class TestDrainAndRestart:
