@@ -171,7 +171,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.configs import figure7_specs
-    from repro.harness.parallel import ResultCache, _pool_context
+    from repro.harness.parallel import ResultCache, _mp_context
     from repro.harness.sweeps import SweepError, seed_sweep
     from repro.workloads.spec import ALL_PROFILES, profile_by_name
 
@@ -190,7 +190,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         import queue as _queue_mod
         import threading
 
-        progress_queue = _pool_context().Queue()
+        progress_queue = _mp_context().Queue()
 
         def drain() -> None:
             while True:

@@ -26,19 +26,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.harness.parallel import (
-    FAULT_PLAN_ENV,
     ResultCache,
     WorkUnit,
     execute_units,
     failed_units,
     fault_summary,
+    is_resilient,
     quarantine_report,
 )
 
@@ -211,11 +210,7 @@ def run_all(
     units = experiment_units(scale, seed, names=names)
     progress = None if quiet else (lambda msg: print(f"  {msg}", flush=True))
 
-    resilient = (
-        timeout is not None
-        or retries > 0
-        or bool(os.environ.get(FAULT_PLAN_ENV))
-    )
+    resilient = is_resilient(timeout, retries)
     tracer = None
     if resilient:
         from repro.obs.tracer import RingTracer

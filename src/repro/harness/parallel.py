@@ -3,8 +3,8 @@
 Experiment sweeps (``run_all``, ``seed_sweep``) decompose into
 independent *work units* — picklable descriptions of one computation
 (an experiment regeneration, or one (benchmark, spec, seed) simulation
-cell).  :func:`execute_units` fans units out over ``multiprocessing``
-workers and merges results deterministically regardless of completion
+cell).  :func:`execute_units` fans units out over supervised worker
+processes and merges results deterministically regardless of completion
 order: results are keyed by unit id, and callers iterate in their own
 unit order, so ``jobs=4`` output is byte-identical to ``jobs=1``.
 
@@ -28,19 +28,24 @@ Three properties the engine guarantees:
   only the missing/failed cells.  ``KeyboardInterrupt`` flushes every
   completed-but-unmerged result to the cache before propagating.
 
-On top of failure isolation sits an opt-in **resilience layer**
-(activated by ``timeout=``/``retries=`` or an active
-``REPRO_FAULT_PLAN``): each attempt runs in a dedicated supervised
-worker process, hung workers are SIGKILLed at the per-unit wall-clock
-``timeout`` and re-dispatched, failed attempts are retried with seeded
-exponential backoff + jitter, and units that exhaust the retry budget
-are *quarantined* — the sweep completes in a marked-degraded state
-instead of aborting, and a dead worker can never poison other units
-the way a broken shared pool would (each attempt owns its process, so
-"pool rebuild" is a per-attempt respawn).  With the layer dormant the
-dispatch path is exactly the classic pool/serial one.  Retry/timeout/
-crash/quarantine decisions are emitted as ``fault.*`` events on an
-optional tracer (see :mod:`repro.obs.tracer`).
+On top of failure isolation sits **one supervised-attempt executor**
+(:class:`UnitExecutor`), used by every parallel or resilient sweep,
+by ``repro serve`` and by ``repro worker``.  Each attempt runs in a
+dedicated worker process awaited on its result pipe: a result, pipe
+EOF (a hard crash, reported with the reaped exit code), the per-unit
+wall-clock ``timeout`` (the worker is SIGKILLed), or an expired drain.
+One policy loop, :func:`run_attempts`, decides what happens next:
+retry with seeded exponential backoff + jitter, or — once the retry
+budget is spent — *quarantine*, so the sweep completes in a
+marked-degraded state instead of aborting.  A dead worker can never
+poison other units, because each attempt owns its process.  The
+distributed fabric is a second *placement* of the same loop (see
+:mod:`repro.service.fabric`).  Retry/timeout/crash/quarantine
+decisions are emitted as ``fault.*`` events through one
+``emit(kind, info)`` callback (an engine tracer, see
+:mod:`repro.obs.tracer`, or a daemon job's event stream).  Sequential
+runs with no resilience asked for — and every nested sweep a worker
+process starts — run inline, with no executor and no event loop.
 
 Timing discipline: units report their own ``cpu_seconds`` (process CPU
 time, well-defined under parallelism) and ``wall_seconds``; retried
@@ -51,12 +56,15 @@ vary run-to-run so determinism comparisons and regression diffs can
 ignore them.
 
 **Progress channel.**  A caller may pass ``progress_queue=`` (a
-``multiprocessing`` queue from :func:`_pool_context`) to
+``multiprocessing`` queue from :func:`_mp_context`) to
 :func:`execute_units`; workers then have :func:`emit_progress`
 installed, and anything the unit's target calls it with — interval
 sampler snapshots, custom milestones — is tagged with the unit id and
-streamed to the parent *while the unit runs*, not after.  This is what
-``repro sweep --live`` and the job service's ``repro watch`` render.
+streamed to the parent *while the unit runs*, not after: it travels
+over the attempt's result pipe, ahead of the result, and the executor
+hands it to the queue (the job service routes it to watchers).  This
+is what ``repro sweep --live`` and the job service's ``repro watch``
+render.
 With no queue installed :func:`emit_progress` is a dormant
 ``is None`` check, so cache keys, results, and the hot path are
 unaffected.
@@ -64,10 +72,10 @@ unaffected.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
-import heapq
 import importlib
-import itertools
 import json
 import multiprocessing
 import os
@@ -77,9 +85,14 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection as _mp_connection
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    Awaitable, Callable, Dict, Iterable, List, Optional, Tuple,
+)
+
+# asyncio is imported inside the executor's functions, not here: the
+# inline path and every importer of this module stay free of its
+# import cost.
 
 #: Environment variable activating worker-side fault injection (see
 #: :mod:`repro.faults.inject`).  Checked once per work-unit attempt.
@@ -116,23 +129,24 @@ def strip_volatile(obj, fields: frozenset = VOLATILE_FIELDS):
 
 
 #: Worker-side progress channel (see module docstring).  Installed by
-#: the pool initializer / supervised worker entry / serial path, read
+#: the supervised worker entry / inline path, read
 #: by :func:`emit_progress` from inside a unit's target callable.
-_PROGRESS_QUEUE = None
+_PROGRESS_SINK: Optional[Callable[[dict], None]] = None
 _PROGRESS_TAG: Optional[str] = None
 _PROGRESS_UID: Optional[str] = None
 
 
-def install_progress(queue, tag: Optional[str] = None) -> None:
-    """Install a progress queue in this process (worker or serial).
+def install_progress(sink, tag: Optional[str] = None) -> None:
+    """Install a progress sink in this process: a callable taking one
+    event (a queue's ``put``, a pipe's ``send``), or None to remove it.
 
-    ``tag`` disambiguates streams when one queue serves several
+    ``tag`` disambiguates streams when one consumer serves several
     concurrent executions whose unit ids may collide (the job service
     tags each execution); plain sweeps leave it None and rely on unit
     ids being unique within one engine run.
     """
-    global _PROGRESS_QUEUE, _PROGRESS_TAG
-    _PROGRESS_QUEUE = queue
+    global _PROGRESS_SINK, _PROGRESS_TAG
+    _PROGRESS_SINK = sink
     _PROGRESS_TAG = tag
 
 
@@ -144,17 +158,17 @@ def emit_progress(kind: str, **fields) -> bool:
     (and hit the same cache entries) outside a live sweep.  Events are
     flat dicts: ``{"kind": kind, "uid": <current unit>, **fields}``
     plus ``"tag"`` when one was installed.  Delivery is best-effort —
-    a queue torn down mid-drain must never fail the unit.
+    a channel torn down mid-drain must never fail the unit.
     """
-    queue = _PROGRESS_QUEUE
-    if queue is None:
+    sink = _PROGRESS_SINK
+    if sink is None:
         return False
     event = {"kind": kind, "uid": _PROGRESS_UID}
     if _PROGRESS_TAG is not None:
         event["tag"] = _PROGRESS_TAG
     event.update(fields)
     try:
-        queue.put(event)
+        sink(event)
     except Exception:  # noqa: BLE001 — best-effort by contract
         return False
     return True
@@ -519,14 +533,12 @@ class ResultCache:
 def _execute_task(task) -> UnitResult:
     """Worker entry: run one unit, never raise (failure isolation).
 
-    ``task`` is ``(uid, module, func, kwargs)`` plus an optional
-    attempt number (1-based; retries thread it through so deterministic
-    fault plans can key on it).  The fault hook costs one environment
-    lookup per unit when dormant.
+    ``task`` is ``(uid, module, func, kwargs, attempt)``; the 1-based
+    attempt number lets deterministic fault plans key on retries.  The
+    fault hook costs one environment lookup per unit when dormant.
     """
     global _PROGRESS_UID
-    uid, module_name, func_name, kwargs = task[0], task[1], task[2], task[3]
-    attempt = task[4] if len(task) > 4 else 1
+    uid, module_name, func_name, kwargs, attempt = task
     _PROGRESS_UID = uid  # stamp emit_progress events with the unit id
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
@@ -561,7 +573,7 @@ def _execute_task(task) -> UnitResult:
         )
 
 
-def _pool_context():
+def _mp_context():
     """Prefer fork (cheap, inherits in-process monkeypatches); fall back
     to the platform default where fork is unavailable."""
     methods = multiprocessing.get_all_start_methods()
@@ -584,10 +596,36 @@ def backoff_delay(
     return base * (2 ** (attempt - 1)) * (0.5 + rng.random())
 
 
-def _supervised_worker(conn, task, progress=None, tag=None) -> None:
-    """Entry point of a per-attempt supervised worker process."""
-    if progress is not None:
-        install_progress(progress, tag)
+def is_resilient(timeout: Optional[float], retries: int) -> bool:
+    """True when a run needs the resilience layer: a per-unit timeout,
+    a retry budget, or an active ``REPRO_FAULT_PLAN``."""
+    return (
+        timeout is not None
+        or retries > 0
+        or bool(os.environ.get(FAULT_PLAN_ENV))
+    )
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Per-unit resilience policy: wall-clock ``timeout`` per attempt
+    (None = unbounded), ``retries`` extra attempts after the first, and
+    the ``backoff`` base and jitter ``seed`` of :func:`backoff_delay`."""
+
+    timeout: Optional[float] = None
+    retries: int = 0
+    backoff: float = 0.25
+    seed: int = 0
+
+
+def _supervised_worker(conn, task, tag=None, progress=False) -> None:
+    """Entry point of a per-attempt supervised worker process.
+
+    With ``progress`` set, :func:`emit_progress` events travel over the
+    result pipe ahead of the result itself.
+    """
+    if progress:
+        install_progress(conn.send, tag)
     try:
         result = _execute_task(task)
         conn.send(result)
@@ -602,7 +640,7 @@ def _supervised_worker(conn, task, progress=None, tag=None) -> None:
                         "message": "worker could not deliver its result",
                         "traceback": traceback.format_exc(),
                     },
-                    attempts=task[4] if len(task) > 4 else 1,
+                    attempts=task[4],
                 )
             )
         except Exception:  # noqa: BLE001
@@ -611,223 +649,267 @@ def _supervised_worker(conn, task, progress=None, tag=None) -> None:
         conn.close()
 
 
-def _run_supervised(
-    pending: List[WorkUnit],
-    jobs: int,
-    absorb: Callable[[UnitResult, bool], None],
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-    retry_seed: int,
-    tracer,
-    progress_queue=None,
-) -> None:
-    """Resilient dispatch: one supervised process per attempt.
+def _no_event(kind: str, info: dict) -> None:
+    pass
 
-    Owning each attempt's process (instead of sharing a pool) is what
-    makes hung-worker SIGKILL, hard-crash detection (pipe EOF plus exit
-    code), and re-dispatch possible without ever tearing down or
-    rebuilding a shared pool: a dead worker takes down exactly one
-    attempt.  ``absorb`` receives only *final* results — retries are
-    internal — with timing accumulated across attempts.
+
+def _failure(unit: WorkUnit, attempt: int, error_type: str, message: str,
+             wall_seconds: float = 0.0) -> UnitResult:
+    return UnitResult(
+        uid=unit.uid,
+        ok=False,
+        error={"type": error_type, "message": message, "traceback": ""},
+        wall_seconds=wall_seconds,
+        attempts=attempt,
+    )
+
+
+async def run_attempts(
+    unit: WorkUnit,
+    attempt: Callable[[int], Awaitable[Tuple[UnitResult, bool]]],
+    policy: RetryPolicy,
+    emit: Callable[[str, dict], None],
+    draining: Callable[[], bool],
+) -> UnitResult:
+    """The one retry/quarantine decision, shared by every placement.
+
+    ``attempt(n)`` runs attempt ``n`` (in a local process, on a leased
+    fabric worker) and returns ``(result, retryable)``.  A retryable
+    failure is retried after :func:`backoff_delay` until the budget is
+    spent or a drain began, then quarantined; any other failure (drain
+    abort, a fabric worker's settled verdict) is returned as is.  Only
+    a real backoff emits ``fault.retry``: a zero-delay retry (fabric
+    reassignment) is announced by its placement.
     """
-    context = _pool_context()
-    emit = tracer is not None and getattr(tracer, "enabled", False)
-    queue = deque((unit, 1) for unit in pending)
-    waiting: List = []  # (ready_at, seq, unit, attempt) retry backoff heap
-    seq = itertools.count()
-    inflight: Dict = {}  # conn -> attempt entry
-    spent: Dict[str, List[float]] = {}  # uid -> [cpu, wall]
+    import asyncio
 
-    def spawn(unit: WorkUnit, attempt: int) -> None:
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        task = (unit.uid, unit.module, unit.func, unit.kwargs, attempt)
-        process = context.Process(
+    number = 1
+    cpu = wall = 0.0
+    while True:
+        result, retryable = await attempt(number)
+        cpu += result.cpu_seconds
+        wall += result.wall_seconds
+        result.cpu_seconds, result.wall_seconds = cpu, wall
+        result.attempts = max(result.attempts, number)
+        if result.ok or not retryable:
+            return result
+        if number > policy.retries or draining():
+            result.quarantined = True
+            emit(
+                "fault.quarantine",
+                {"uid": unit.uid, "attempts": number,
+                 "error": result.error["type"]},
+            )
+            return result
+        delay = backoff_delay(policy.backoff, number, unit.uid, policy.seed)
+        if delay > 0:
+            emit(
+                "fault.retry",
+                {"uid": unit.uid, "attempt": number,
+                 "error": result.error["type"], "delay": round(delay, 4)},
+            )
+            await asyncio.sleep(delay)
+        number += 1
+
+
+async def _reap(process, kill: bool = False) -> Optional[int]:
+    """Exit code of ``process`` once it ends (at most 5 s), awaited on
+    its sentinel so the event loop keeps running meanwhile."""
+    import asyncio
+
+    if kill:
+        process.kill()
+    if process.exitcode is None:
+        loop = asyncio.get_running_loop()
+        exited = loop.create_future()
+        loop.add_reader(
+            process.sentinel, lambda: exited.done() or exited.set_result(0)
+        )
+        try:
+            await asyncio.wait_for(exited, 5.0)
+            process.join()
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            loop.remove_reader(process.sentinel)
+    return process.exitcode
+
+
+class UnitExecutor:
+    """The local placement: every attempt is one supervised process.
+
+    Owning each attempt's process is what makes hung-worker SIGKILL,
+    hard-crash detection and re-dispatch possible: a dead worker takes
+    down exactly one attempt.  Attempts are awaited on their result
+    pipes, not one thread each, so any number run at once; concurrency
+    is the caller's (the engine's ``jobs``, the scheduler's slots).
+    ``on_progress`` receives every :func:`emit_progress` event, on the
+    event loop, before the result of the attempt that sent it.
+
+    :meth:`begin_drain` stops retries and arms a grace deadline;
+    attempts that outlive it are killed with a ``WorkerAborted`` error,
+    which the daemon treats as "requeue on restart", not quarantine.
+    """
+
+    def __init__(
+        self,
+        on_progress: Optional[Callable[[dict], None]] = None,
+        policy: RetryPolicy = RetryPolicy(),
+    ) -> None:
+        self.context = _mp_context()
+        self.on_progress = on_progress
+        self.policy = policy
+        self.draining = False
+        self._drain_expired = False
+        self._drain_timer = None
+        self._aborts: set = set()  # one per in-flight attempt
+        #: Successful results read from the pipes of cancelled attempts.
+        self.salvaged: List[UnitResult] = []
+
+    def begin_drain(self, grace: float) -> None:
+        """Stop retrying; kill attempts still running after ``grace``.
+        Call on the event loop."""
+        import asyncio
+
+        self.end_drain()  # a repeated drain re-arms the deadline
+        self.draining = True
+        self._drain_timer = asyncio.get_running_loop().call_later(
+            max(0.0, grace), self._expire_drain
+        )
+
+    def end_drain(self) -> None:
+        """Accept and retry work again (a fabric worker's new session)."""
+        if self._drain_timer is not None:
+            self._drain_timer.cancel()
+        self.draining = self._drain_expired = False
+
+    def _expire_drain(self) -> None:
+        self._drain_expired = True
+        for abort in list(self._aborts):
+            abort()
+
+    async def run_unit(
+        self,
+        unit: WorkUnit,
+        tag: Optional[str] = None,
+        on_event: Optional[Callable[[str, dict], None]] = None,
+        policy: Optional[RetryPolicy] = None,
+    ) -> UnitResult:
+        """Run one unit to its final result under ``policy`` (default:
+        the executor's).  ``tag`` stamps the unit's progress events;
+        ``on_event`` receives the ``fault.*`` decisions."""
+        policy = policy or self.policy
+        emit = on_event or _no_event
+        return await run_attempts(
+            unit,
+            lambda number: self._attempt(unit, number, policy.timeout,
+                                         tag, emit),
+            policy,
+            emit,
+            lambda: self.draining,
+        )
+
+    async def _attempt(
+        self,
+        unit: WorkUnit,
+        number: int,
+        timeout: Optional[float],
+        tag: Optional[str],
+        emit: Callable[[str, dict], None],
+    ) -> Tuple[UnitResult, bool]:
+        """One supervised attempt: a result, pipe EOF (``WorkerCrash``
+        with the exit code), the ``timeout`` (``WorkerTimeout``), or an
+        expired drain (``WorkerAborted``, not retryable)."""
+        import asyncio
+
+        loop = asyncio.get_running_loop()
+        conn, child_conn = self.context.Pipe(duplex=False)
+        task = (unit.uid, unit.module, unit.func, unit.kwargs, number)
+        process = self.context.Process(
             target=_supervised_worker,
-            args=(child_conn, task, progress_queue),
+            args=(child_conn, task, tag, self.on_progress is not None),
             daemon=True,
         )
+        started = time.monotonic()
         process.start()
         child_conn.close()
-        now = time.monotonic()
-        inflight[parent_conn] = {
-            "unit": unit,
-            "attempt": attempt,
-            "process": process,
-            "started": now,
-            "deadline": now + timeout if timeout is not None else None,
-        }
+        fd = conn.fileno()
+        outcome = loop.create_future()
 
-    def reap(entry, kill: bool = False) -> Optional[int]:
-        process = entry["process"]
-        if kill:
-            process.kill()
-        process.join(timeout=5.0)
-        return process.exitcode
+        def settle(kind: str, result: Optional[UnitResult] = None) -> None:
+            if not outcome.done():
+                outcome.set_result((kind, result))
 
-    def finalize(entry, result: UnitResult, quiet: bool = False) -> None:
-        unit, attempt = entry["unit"], entry["attempt"]
-        acc = spent.setdefault(unit.uid, [0.0, 0.0])
-        acc[0] += result.cpu_seconds
-        acc[1] += result.wall_seconds
-        if result.ok or attempt > retries:
-            result.cpu_seconds, result.wall_seconds = acc[0], acc[1]
-            result.attempts = attempt
-            if not result.ok:
-                result.quarantined = True
-                if emit:
-                    tracer.emit(
-                        "fault.quarantine",
-                        0,
-                        uid=unit.uid,
-                        attempts=attempt,
-                        error=result.error["type"],
-                    )
-            absorb(result, quiet)
-        else:
-            delay = backoff_delay(backoff, attempt, unit.uid, retry_seed)
-            if emit:
-                tracer.emit(
-                    "fault.retry",
-                    0,
-                    uid=unit.uid,
-                    attempt=attempt,
-                    error=result.error["type"],
-                    delay=round(delay, 4),
-                )
-            heapq.heappush(
-                waiting,
-                (time.monotonic() + delay, next(seq), unit, attempt + 1),
-            )
-
-    try:
-        while queue or waiting or inflight:
-            now = time.monotonic()
-            while waiting and waiting[0][0] <= now:
-                _, _, unit, attempt = heapq.heappop(waiting)
-                queue.append((unit, attempt))
-            while queue and len(inflight) < jobs:
-                unit, attempt = queue.popleft()
-                spawn(unit, attempt)
-            if not inflight:
-                if waiting:
-                    time.sleep(
-                        max(0.0, min(0.05, waiting[0][0] - time.monotonic()))
-                    )
-                continue
-
-            wait_for = 0.05
-            deadlines = [
-                entry["deadline"]
-                for entry in inflight.values()
-                if entry["deadline"] is not None
-            ]
-            if deadlines:
-                wait_for = min(wait_for, max(0.0, min(deadlines) - now))
-            if waiting:
-                wait_for = min(wait_for, max(0.0, waiting[0][0] - now))
-            ready = _mp_connection.wait(list(inflight), timeout=wait_for)
-
-            for conn in ready:
-                entry = inflight.pop(conn)
-                try:
-                    result = conn.recv()
-                    reap(entry)
-                except (EOFError, OSError):
-                    # Pipe closed with no result: the worker died hard
-                    # (os._exit, SIGKILL, OOM-kill).
-                    code = reap(entry)
-                    if emit:
-                        tracer.emit(
-                            "fault.crash",
-                            0,
-                            uid=entry["unit"].uid,
-                            attempt=entry["attempt"],
-                            exit_code=code,
-                        )
-                    result = UnitResult(
-                        uid=entry["unit"].uid,
-                        ok=False,
-                        error={
-                            "type": "WorkerCrash",
-                            "message": (
-                                f"worker died with exit code {code} on "
-                                f"attempt {entry['attempt']}"
-                            ),
-                            "traceback": "",
-                        },
-                        wall_seconds=time.monotonic() - entry["started"],
-                    )
-                conn.close()
-                finalize(entry, result)
-
-            now = time.monotonic()
-            for conn, entry in list(inflight.items()):
-                if entry["deadline"] is not None and now >= entry["deadline"]:
-                    # Hung worker: SIGKILL and hand the unit back to the
-                    # retry policy.
-                    del inflight[conn]
-                    reap(entry, kill=True)
-                    conn.close()
-                    if emit:
-                        tracer.emit(
-                            "fault.timeout",
-                            0,
-                            uid=entry["unit"].uid,
-                            attempt=entry["attempt"],
-                            timeout=timeout,
-                        )
-                    finalize(
-                        entry,
-                        UnitResult(
-                            uid=entry["unit"].uid,
-                            ok=False,
-                            error={
-                                "type": "WorkerTimeout",
-                                "message": (
-                                    f"exceeded {timeout}s wall-clock on "
-                                    f"attempt {entry['attempt']}"
-                                ),
-                                "traceback": "",
-                            },
-                            wall_seconds=now - entry["started"],
-                        ),
-                    )
-    except KeyboardInterrupt:
-        # Checkpoint flush: absorb every completed-but-unmerged result
-        # (which writes it to the cache) before tearing workers down,
-        # so an interrupted sweep resumes without re-executing them.
-        for conn, entry in list(inflight.items()):
+        def readable() -> None:
             try:
-                if conn.poll(0):
-                    result = conn.recv()
-                    if result.ok:
-                        finalize(entry, result, quiet=True)
-            except Exception:  # noqa: BLE001 — best-effort flush
-                pass
-        raise
-    finally:
-        for conn, entry in inflight.items():
+                message = conn.recv()
+            except (EOFError, OSError):
+                message = None
+            if isinstance(message, dict):  # a progress event
+                self.on_progress(message)
+                return
+            loop.remove_reader(fd)
+            settle("eof" if message is None else "result", message)
+
+        loop.add_reader(fd, readable)
+        timer = (
+            loop.call_later(timeout, settle, "timeout")
+            if timeout is not None else None
+        )
+        abort = functools.partial(settle, "abort")
+        self._aborts.add(abort)
+        if self._drain_expired:
+            abort()
+        try:
             try:
-                reap(entry, kill=True)
-                conn.close()
-            except Exception:  # noqa: BLE001
-                pass
-
-
-def _drain_ready(iterator, absorb) -> None:
-    """Best-effort absorb of already-completed pool results (KI flush)."""
-    while True:
-        try:
-            result = iterator.next(timeout=0.1)
-        except (StopIteration, multiprocessing.TimeoutError):
-            return
-        except Exception:  # noqa: BLE001 — flushing must never raise
-            return
-        try:
-            absorb(result, True)
-        except Exception:  # noqa: BLE001
-            return
+                kind, result = await outcome
+            except asyncio.CancelledError:
+                # Checkpoint flush: keep a result that already reached
+                # the pipe for the caller tearing the run down.
+                with contextlib.suppress(EOFError, OSError):
+                    while conn.poll():
+                        message = conn.recv()
+                        if isinstance(message, UnitResult) and message.ok:
+                            self.salvaged.append(message)
+                raise
+            if kind == "result":
+                await _reap(process)
+                return result, True
+            if kind == "eof":
+                # The worker died hard (os._exit, SIGKILL, OOM-kill).
+                # EOF can precede the exit: reap to learn the code.
+                code = await _reap(process)
+                emit("fault.crash", {"uid": unit.uid, "attempt": number,
+                                     "exit_code": code})
+                return _failure(
+                    unit, number, "WorkerCrash",
+                    f"worker died with exit code {code} on attempt "
+                    f"{number}",
+                    time.monotonic() - started,
+                ), True
+            await _reap(process, kill=True)
+            wall = time.monotonic() - started
+            if kind == "abort":
+                return _failure(
+                    unit, number, "WorkerAborted",
+                    "daemon drain grace expired; unit will be re-run "
+                    "after restart", wall,
+                ), False
+            emit("fault.timeout", {"uid": unit.uid, "attempt": number,
+                                   "timeout": timeout})
+            return _failure(
+                unit, number, "WorkerTimeout",
+                f"exceeded {timeout}s wall-clock on attempt {number}", wall,
+            ), True
+        finally:
+            loop.remove_reader(fd)
+            if timer is not None:
+                timer.cancel()
+            self._aborts.discard(abort)
+            conn.close()
+            if process.exitcode is None:
+                process.kill()
+                process.join(timeout=5.0)
 
 
 def execute_units(
@@ -852,15 +934,17 @@ def execute_units(
     (``KeyboardInterrupt`` additionally flushes completed-but-unmerged
     results before propagating).
 
+    ``jobs > 1`` runs at most ``jobs`` units at once through
+    :class:`UnitExecutor`, one supervised process per attempt.
     ``timeout`` (per-unit wall seconds) and ``retries`` (extra attempts
-    after the first) activate the resilience layer: supervised
-    per-attempt worker processes, hung-worker SIGKILL + re-dispatch,
-    seeded exponential ``backoff`` between attempts, and quarantine of
-    units that exhaust the budget (``ok=False, quarantined=True``
-    instead of aborting).  An active ``REPRO_FAULT_PLAN`` also routes
-    through the supervised path so injected crashes can never take the
-    parent down.  With none of those set, dispatch is exactly the
-    classic serial/pool path.
+    after the first) add hung-worker SIGKILL + re-dispatch, seeded
+    exponential ``backoff`` between attempts, and quarantine of units
+    that exhaust the budget (``ok=False, quarantined=True`` instead of
+    aborting); they, or an active ``REPRO_FAULT_PLAN``, route even
+    ``jobs=1`` through the executor so injected crashes can never take
+    the parent down.  Otherwise — and always when called from inside a
+    worker process, whose own attempt is already supervised — units
+    run inline, in order.
 
     ``progress_queue`` (a queue from this engine's multiprocessing
     context) installs the live progress channel in every worker: unit
@@ -913,54 +997,61 @@ def execute_units(
                 status = f"FAILED: {result.error['type']}"
             progress(f"{result.uid} [{status}]")
 
-    resilient = (
-        timeout is not None
-        or retries > 0
-        or bool(os.environ.get(FAULT_PLAN_ENV))
-    )
-    if resilient:
-        _run_supervised(
-            pending,
-            jobs=max(1, jobs),
-            absorb=absorb,
-            timeout=timeout,
-            retries=retries,
-            backoff=backoff,
-            retry_seed=retry_seed,
-            tracer=tracer,
-            progress_queue=progress_queue,
-        )
-        return results
-
-    tasks = [(u.uid, u.module, u.func, u.kwargs, 1) for u in pending]
-    if jobs <= 1 or len(tasks) <= 1:
-        previous = _PROGRESS_QUEUE
+    if multiprocessing.current_process().daemon or (
+        jobs <= 1 and not is_resilient(timeout, retries)
+    ):
+        previous = _PROGRESS_SINK
         if progress_queue is not None:
-            install_progress(progress_queue)
+            install_progress(progress_queue.put)
         try:
-            for task in tasks:
-                absorb(_execute_task(task))
+            for unit in pending:
+                absorb(_execute_task(
+                    (unit.uid, unit.module, unit.func, unit.kwargs, 1)
+                ))
         finally:
             if progress_queue is not None:
                 install_progress(previous)
-    else:
-        context = _pool_context()
-        pool_kwargs = {}
-        if progress_queue is not None:
-            pool_kwargs["initializer"] = install_progress
-            pool_kwargs["initargs"] = (progress_queue,)
-        with context.Pool(
-            processes=min(jobs, len(tasks)), **pool_kwargs
-        ) as pool:
-            iterator = pool.imap_unordered(_execute_task, tasks)
-            try:
-                for result in iterator:
-                    absorb(result)
-            except KeyboardInterrupt:
-                # Checkpoint flush: completed results already sitting in
-                # the pool's outqueue still reach the cache.
-                _drain_ready(iterator, absorb)
-                raise
+        return results
+
+    import asyncio
+
+    executor = UnitExecutor(
+        progress_queue.put if progress_queue is not None else None,
+        RetryPolicy(timeout, retries, backoff, retry_seed),
+    )
+    def emit(kind: str, info: dict) -> None:
+        if tracer is not None and getattr(tracer, "enabled", False):
+            tracer.emit(kind, 0, **info)
+
+    queue = deque(pending)
+    running: set = set()
+    loop = asyncio.new_event_loop()
+    try:
+        while queue or running:
+            while queue and len(running) < max(1, jobs):
+                running.add(loop.create_task(
+                    executor.run_unit(queue.popleft(), on_event=emit)
+                ))
+            done, _ = loop.run_until_complete(
+                asyncio.wait(running, return_when=asyncio.FIRST_COMPLETED)
+            )
+            for task in done:
+                running.discard(task)
+                absorb(task.result())
+    finally:
+        # On KeyboardInterrupt: kill what still runs, but absorb (which
+        # writes to the cache) every result that already arrived.
+        for task in running:
+            task.cancel()
+        flushed = []
+        if running:
+            flushed = loop.run_until_complete(
+                asyncio.gather(*running, return_exceptions=True)
+            )
+        loop.close()
+        for outcome in flushed + executor.salvaged:
+            if isinstance(outcome, UnitResult) and outcome.ok:
+                absorb(outcome, True)
     return results
 
 

@@ -1,4 +1,4 @@
-"""The simulation job daemon: asyncio server + worker pool + scheduler.
+"""The simulation job daemon: asyncio server + executor + scheduler.
 
 ``repro serve --state-dir DIR`` runs one daemon per state directory.
 It listens on a Unix socket (``DIR/daemon.sock``; optionally also TCP
@@ -7,14 +7,17 @@ via ``--tcp HOST:PORT``), speaks the JSON-lines protocol of
 
 * a :class:`~repro.service.scheduler.Scheduler` (job table, priority
   queue, single-flight dedup, admission control),
-* a :class:`~repro.service.pool.UnitExecutor` (supervised worker
-  processes with the engine's timeout/retry/quarantine policy),
+* the sweep engine's own :class:`~repro.harness.parallel.UnitExecutor`
+  (one supervised process per attempt, under the engine's one
+  timeout/retry/quarantine policy loop) — or, with ``--coordinator``,
+  a :class:`~repro.service.fabric.FabricDispatcher`, which places the
+  same attempts on remote workers,
 * the shared :class:`~repro.harness.parallel.ResultCache` under
   ``DIR/cache`` — the same content-addressed store CLI sweeps use, so
   daemon and CLI runs feed each other,
-* a progress bridge: one ``multiprocessing`` queue drained by a
-  thread, each event hopped onto the event loop with
-  ``call_soon_threadsafe`` and routed to the owning execution's
+* a progress bridge: the executor hands every event a unit emits
+  (over its attempt's result pipe, or forwarded by a fabric worker)
+  to the scheduler, which routes it to the owning execution's
   watchers (this is what makes ``repro watch`` live rather than
   post-hoc).
 
@@ -32,20 +35,17 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import queue as _queue_mod
 import signal
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
-from repro.harness.parallel import ResultCache
+from repro.harness.parallel import ResultCache, RetryPolicy, UnitExecutor
 from repro.service import protocol
 from repro.service.fabric import FabricDispatcher
 from repro.service.scheduler import AdmissionError, Scheduler
-from repro.service.pool import UnitExecutor
 
 #: Socket filename inside the state directory.
 SOCKET_NAME = "daemon.sock"
@@ -95,27 +95,24 @@ class Daemon:
         self.cache = ResultCache(self.state_dir / "cache")
         self.cache.heal(log=self.log)  # clear torn entries from a crash
         self.fabric: Optional[FabricDispatcher] = None
+        policy = RetryPolicy(
+            timeout=config.timeout,
+            retries=config.retries,
+            backoff=config.backoff,
+        )
         if config.coordinator:
             self.fabric = FabricDispatcher(
                 heartbeat=config.heartbeat,
                 miss_factor=config.miss_factor,
                 unit_retries=config.unit_retries,
-                timeout=config.timeout,
-                retries=config.retries,
+                policy=policy,
                 salt=config.salt,
                 log=self.log,
                 events_path=self.state_dir / "fabric-events.jsonl",
             )
             self.executor = self.fabric
-            self.progress_queue = None
         else:
-            self.executor = UnitExecutor(
-                timeout=config.timeout,
-                retries=config.retries,
-                backoff=config.backoff,
-            )
-            self.progress_queue = self.executor.make_queue()
-            self.executor.progress_queue = self.progress_queue
+            self.executor = UnitExecutor(policy=policy)
         self.scheduler = Scheduler(
             self.executor,
             self.cache,
@@ -124,16 +121,15 @@ class Daemon:
             salt=config.salt,
             jobs_dir=self.state_dir / "jobs",
         )
+        self.executor.on_progress = self.scheduler.on_progress
         if self.fabric is not None:
             # Capacity is whatever the registered workers bring; with no
             # workers yet, units queue instead of dispatching.
             self.scheduler.slots = 0
             self.fabric.on_capacity_change = self._on_capacity
-            self.fabric.on_progress = self.scheduler.on_progress
         self.started = time.time()
         self._stop = asyncio.Event()
         self._drained = asyncio.Event()
-        self._progress_thread: Optional[threading.Thread] = None
         self._monitor_task: Optional[asyncio.Task] = None
         self._server = None
         self._tcp_server = None
@@ -150,24 +146,6 @@ class Daemon:
         stamp = time.strftime("%Y-%m-%d %H:%M:%S")
         with self._log_path.open("a") as handle:
             handle.write(f"{stamp} {message}\n")
-
-    # ------------------------------------------------------ progress pump
-
-    def _drain_progress(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Thread target: hop worker progress events onto the loop."""
-        while True:
-            try:
-                event = self.progress_queue.get(timeout=0.2)
-            except (_queue_mod.Empty, OSError):
-                if self._stop.is_set():
-                    return
-                continue
-            if event is None:  # shutdown sentinel
-                return
-            try:
-                loop.call_soon_threadsafe(self.scheduler.on_progress, event)
-            except RuntimeError:  # loop already closed
-                return
 
     # ------------------------------------------------------- connections
 
@@ -559,11 +537,6 @@ class Daemon:
                     "bind_failed", f"cannot bind {host}:{port}: {error}"
                 )
 
-        if self.progress_queue is not None:
-            self._progress_thread = threading.Thread(
-                target=self._drain_progress, args=(loop,), daemon=True
-            )
-            self._progress_thread.start()
         if self.fabric is not None:
             self._monitor_task = asyncio.ensure_future(
                 self.fabric.monitor()
@@ -605,13 +578,6 @@ class Daemon:
             for name in list(self.fabric.workers):
                 self.fabric.worker_lost(name, reason="coordinator shutdown")
             await asyncio.sleep(0)
-        if self.progress_queue is not None:
-            try:
-                self.progress_queue.put(None)  # unblock the pump thread
-            except Exception:  # noqa: BLE001
-                pass
-        if self._progress_thread is not None:
-            self._progress_thread.join(timeout=2.0)
         for server in (self._server, self._tcp_server):
             if server is not None:
                 try:

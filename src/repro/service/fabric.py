@@ -3,8 +3,12 @@
 ``repro serve --coordinator`` keeps the whole v1 service surface —
 scheduler, admission control, single-flight dedup, shared result
 cache — but executes units on *remote worker daemons* (``repro worker
---connect``) instead of a local pool.  This module owns everything
-worker-facing:
+--connect``) instead of local supervised processes.  The fabric is a
+second *placement* of the engine's one policy loop
+(:func:`~repro.harness.parallel.run_attempts`): an attempt is one
+lease on one worker, and the loop owns the reassignment budget,
+quarantine and drain exactly as it owns retries for local attempts.
+This module owns everything worker-facing:
 
 * the **worker registry**: every registered worker's name, capacity,
   connection, and last-heartbeat time.  Total registered capacity is
@@ -12,12 +16,13 @@ worker-facing:
 * **leases**: one per assigned unit.  A lease is the coordinator's
   claim check — it is granted at assignment, redeemed by exactly one
   ``w.result``, and *revoked* when the worker's connection dies or its
-  heartbeats stop.  A revoked lease's unit is deterministically
-  reassigned (see below) with a bounded budget; a unit that exhausts
-  the budget is delivered to the scheduler as a structured
-  ``WorkerLost`` failure with ``quarantined=True``, which reuses the
-  PR 4 quarantine-and-continue semantics — the sweep completes
-  degraded rather than hanging on a dead host.
+  heartbeats stop.  A revoked lease is a retryable ``WorkerLost``
+  failure: the unit is reassigned at once (see below) within the
+  ``unit_retries`` budget, and a unit that exhausts it is quarantined
+  like any other — the sweep completes degraded rather than hanging on
+  a dead host.  A result the worker delivers is final, failed or not:
+  the worker already applied the per-unit retry policy, which every
+  ``w.assign`` carries.
 * **routing**: units are routed by rendezvous (highest-random-weight)
   hashing of ``(worker name, unit cache key)`` over the live workers
   with free capacity.  The content-addressed unit key therefore gives
@@ -47,11 +52,18 @@ import asyncio
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.harness.parallel import UnitResult, WorkUnit
+from repro.harness.parallel import (
+    RetryPolicy,
+    UnitResult,
+    WorkUnit,
+    _failure,
+    _no_event,
+    run_attempts,
+)
 from repro.service import protocol
 
 #: How often the monitor task scans lease/worker deadlines, as a
@@ -121,7 +133,7 @@ def rendezvous_rank(key: str, names: List[str]) -> List[str]:
 
 
 class FabricDispatcher:
-    """Remote execution backend with the :class:`UnitExecutor` interface.
+    """Remote placement with the :class:`UnitExecutor` interface.
 
     The scheduler calls :meth:`run_unit` exactly as it would on the
     local executor; this class hides assignment, lease tracking,
@@ -133,8 +145,7 @@ class FabricDispatcher:
         heartbeat: float = 1.0,
         miss_factor: float = 3.0,
         unit_retries: int = 2,
-        timeout: Optional[float] = None,
-        retries: int = 0,
+        policy: RetryPolicy = RetryPolicy(),
         salt: Optional[str] = None,
         log: Optional[Callable[[str], None]] = None,
         events_path: Optional[Path] = None,
@@ -142,8 +153,7 @@ class FabricDispatcher:
         self.heartbeat = heartbeat
         self.miss_factor = miss_factor
         self.unit_retries = unit_retries  # extra assignments after the first
-        self.timeout = timeout  # worker-side per-unit policy, sent in assign
-        self.retries = retries
+        self.policy = policy  # worker-side per-unit policy, sent in assign
         self.salt = salt
         self.log = log if log is not None else (lambda message: None)
         self.events_path = Path(events_path) if events_path else None
@@ -327,25 +337,11 @@ class FabricDispatcher:
                     "lease": lease.id,
                     "tag": tag,
                     "unit": protocol.unit_to_wire(unit),
-                    "timeout": self.timeout,
-                    "retries": self.retries,
+                    **asdict(self.policy),
                 }
             )
         )
         return lease
-
-    def _aborted(self, unit: WorkUnit, attempt: int) -> UnitResult:
-        return UnitResult(
-            uid=unit.uid,
-            ok=False,
-            error={
-                "type": "WorkerAborted",
-                "message": "coordinator drained while the unit was "
-                "pending; it will re-run after restart",
-                "traceback": "",
-            },
-            attempts=attempt,
-        )
 
     async def run_unit(
         self,
@@ -355,80 +351,73 @@ class FabricDispatcher:
     ) -> UnitResult:
         """Run one unit on the fabric to a final :class:`UnitResult`.
 
-        Same contract as :meth:`UnitExecutor.run_unit`: never raises,
-        returns quarantined-or-aborted structured failures instead.
-        ``on_event`` receives ``fabric.*`` lifecycle decisions.
+        Same contract as :meth:`UnitExecutor.run_unit` and the same
+        policy loop: a lost lease is retried on another worker, with
+        no backoff, until ``unit_retries`` is spent.  ``on_event``
+        receives ``fabric.*`` lifecycle decisions and the quarantine.
         """
-        emit = on_event if on_event is not None else (lambda kind, info: None)
+        emit = on_event or _no_event
         key = unit.cache_key(self.salt)
-        assignment = 0
+        result = await run_attempts(
+            unit,
+            lambda number: self._attempt(unit, key, number, tag, emit),
+            RetryPolicy(retries=self.unit_retries, backoff=0.0),
+            emit,
+            lambda: self._draining,
+        )
+        if result.quarantined and result.error["type"] == WORKER_LOST:
+            self.lost_units += 1
+        return result
+
+    async def _attempt(
+        self,
+        unit: WorkUnit,
+        key: str,
+        number: int,
+        tag: Optional[str],
+        emit: Callable[[str, dict], None],
+    ) -> Tuple[UnitResult, bool]:
+        """One assignment: wait for a routable worker, lease it the unit,
+        await the lease.  A worker's result is final (the worker already
+        applied the per-unit policy); a revoked lease is a retryable
+        ``WorkerLost`` failure, or ``WorkerAborted`` once draining."""
+        aborted = (
+            "coordinator drained while the unit was pending; it will "
+            "re-run after restart"
+        )
         while True:
             if self._draining:
-                return self._aborted(unit, max(1, assignment))
+                return _failure(unit, number, "WorkerAborted", aborted), False
             worker = self._route(key)
-            if worker is None:
-                # No live worker with a free slot: wait for a join or a
-                # freed slot, re-checking drain state periodically.
-                self._wake.clear()
-                try:
-                    await asyncio.wait_for(
-                        self._wake.wait(), timeout=self.heartbeat
-                    )
-                except asyncio.TimeoutError:
-                    pass
-                continue
-            assignment += 1
-            lease = self._grant(worker, unit, tag)
-            emit(
-                "fabric.assign",
-                {
-                    "uid": unit.uid,
-                    "worker": worker.name,
-                    "lease": lease.id,
-                    "assignment": assignment,
-                },
-            )
-            outcome = await lease.future
-            if outcome is not None:
-                outcome.attempts = max(outcome.attempts, assignment)
-                return outcome
-            # Lease revoked: the worker died or went silent mid-unit.
-            emit(
-                "fabric.lost",
-                {
-                    "uid": unit.uid,
-                    "worker": worker.name,
-                    "lease": lease.id,
-                    "assignment": assignment,
-                },
-            )
-            if self._draining:
-                return self._aborted(unit, assignment)
-            if assignment > self.unit_retries:
-                self.lost_units += 1
-                emit(
-                    "fault.quarantine",
-                    {
-                        "uid": unit.uid,
-                        "attempts": assignment,
-                        "error": WORKER_LOST,
-                    },
+            if worker is not None:
+                break
+            # No live worker with a free slot: wait for a join or a
+            # freed slot, re-checking drain state periodically.
+            self._wake.clear()
+            try:
+                await asyncio.wait_for(
+                    self._wake.wait(), timeout=self.heartbeat
                 )
-                return UnitResult(
-                    uid=unit.uid,
-                    ok=False,
-                    error={
-                        "type": WORKER_LOST,
-                        "message": (
-                            f"{assignment} worker(s) died or went silent "
-                            f"while running this unit"
-                        ),
-                        "traceback": "",
-                    },
-                    attempts=assignment,
-                    quarantined=True,
-                )
+            except asyncio.TimeoutError:
+                pass
+        if number > 1:
             self.reassignments += 1
+        lease = self._grant(worker, unit, tag)
+        info = {"uid": unit.uid, "worker": worker.name, "lease": lease.id,
+                "assignment": number}
+        emit("fabric.assign", info)
+        outcome = await lease.future
+        if outcome is not None:
+            return outcome, False
+        # Lease revoked: the worker died or went silent mid-unit.
+        emit("fabric.lost", info)
+        if self._draining:
+            return _failure(unit, number, "WorkerAborted", aborted), False
+        return _failure(
+            unit, number, WORKER_LOST,
+            f"{number} worker(s) died or went silent while running this "
+            f"unit",
+        ), True
 
     # ----------------------------------------------------------- monitor
 

@@ -51,7 +51,7 @@ coordinator → worker::
     {"type": "w.registered", "worker": "w0", "heartbeat": 1.0}
     {"type": "w.assign", "lease": "L7", "tag": "x00001",
      "unit": {"uid", "module", "func", "kwargs", "key_payload"},
-     "timeout": null, "retries": 0}
+     "timeout": null, "retries": 0, "backoff": 0.25, "seed": 0}
     {"type": "w.revoke", "lease": "L7"}
     {"type": "w.drain", "grace": 10.0}
 

@@ -42,7 +42,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.harness.parallel import ResultCache, UnitResult, WorkUnit
+from repro.harness.parallel import (
+    ResultCache,
+    UnitExecutor,
+    UnitResult,
+    WorkUnit,
+)
 from repro.harness.persistence import atomic_write_json
 from repro.service.jobs import (
     PRIORITIES,
@@ -51,7 +56,6 @@ from repro.service.jobs import (
     build_units,
     finalize_job,
 )
-from repro.service.pool import UnitExecutor
 
 #: Persisted queue file name (under the daemon state directory).
 QUEUE_FILE = "queue.json"

@@ -2,11 +2,14 @@
 
 ``repro worker --connect ENDPOINT`` runs one worker: it dials the
 coordinator, registers its name and slot count, and then executes
-whatever ``w.assign`` frames arrive — each assignment through the same
-supervised-process :class:`~repro.service.pool.UnitExecutor` a local
-daemon uses, so per-unit timeouts, retries with seeded backoff, and
-quarantine behave identically whether a unit runs in-process or three
-hosts away.  Results travel back as ``w.result`` frames; progress and
+whatever ``w.assign`` frames arrive — each assignment through the
+sweep engine's :class:`~repro.harness.parallel.UnitExecutor`, the one
+a local daemon and a ``--jobs`` sweep use, under the retry policy the
+assignment carries (timeout, retries, backoff), so per-unit timeouts,
+retries with seeded backoff, and quarantine behave identically whether
+a unit runs in-process or three hosts away.  The worker's verdict is
+final: the coordinator reassigns a unit only when its lease is lost.
+Results travel back as ``w.result`` frames; progress and
 fault events are forwarded live as ``w.progress`` so coordinator-side
 watchers see remote units exactly like local ones.
 
@@ -28,17 +31,14 @@ from __future__ import annotations
 
 import asyncio
 import os
-import queue as _queue_mod
 import signal
-import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Tuple
 
-from repro.harness.parallel import backoff_delay
+from repro.harness.parallel import RetryPolicy, UnitExecutor, backoff_delay
 from repro.service import protocol
-from repro.service.pool import UnitExecutor
 
 #: Reconnect backoff base (seconds); capped growth via backoff_delay.
 _RECONNECT_BASE = 0.25
@@ -65,9 +65,7 @@ class WorkerDaemon:
                 "worker needs exactly one of socket_path or tcp"
             )
         self.config = config
-        self.executor = UnitExecutor()
-        self.progress_queue = self.executor.make_queue()
-        self.executor.progress_queue = self.progress_queue
+        self.executor = UnitExecutor(on_progress=self._forward_progress)
         self.inflight = 0
         self.completed = 0
         self.sessions = 0
@@ -112,26 +110,10 @@ class WorkerDaemon:
         except (ConnectionError, OSError, RuntimeError):
             pass
 
-    # ----------------------------------------------------- progress pump
-
-    def _drain_progress(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Thread target: hop worker-process progress events onto the
-        loop, where they are forwarded as ``w.progress`` frames."""
-        while True:
-            try:
-                event = self.progress_queue.get(timeout=0.2)
-            except (_queue_mod.Empty, OSError):
-                if self._stop.is_set():
-                    return
-                continue
-            if event is None:
-                return
-            try:
-                loop.call_soon_threadsafe(self._forward_progress, event)
-            except RuntimeError:
-                return
+    # ---------------------------------------------------------- progress
 
     def _forward_progress(self, event: dict) -> None:
+        """Forward one progress or fault event as a ``w.progress`` frame."""
         if isinstance(event, dict):
             asyncio.ensure_future(
                 self._send_quiet(
@@ -149,10 +131,12 @@ class WorkerDaemon:
         except KeyError:
             self.log(f"malformed assign for lease {lease}; dropped")
             return
-        # Per-unit policy is coordinator configuration, constant across
-        # assigns, so updating the shared executor is race-free.
-        self.executor.timeout = frame.get("timeout")
-        self.executor.retries = int(frame.get("retries") or 0)
+        # Each assignment carries the coordinator's per-unit policy.
+        policy = RetryPolicy(**{
+            name: frame[name]
+            for name in (f.name for f in fields(RetryPolicy))
+            if name in frame
+        })
 
         def on_event(kind: str, info: dict) -> None:
             event = {"kind": kind, "tag": tag}
@@ -162,7 +146,7 @@ class WorkerDaemon:
         self.inflight += 1
         try:
             result = await self.executor.run_unit(
-                unit, tag=tag, on_event=on_event
+                unit, tag=tag, on_event=on_event, policy=policy
             )
         finally:
             self.inflight -= 1
@@ -205,8 +189,7 @@ class WorkerDaemon:
         self.sessions += 1
         # A fresh session un-drains the executor: a coordinator that
         # drained and restarted may assign again.
-        self.executor._draining = False
-        self.executor._drain_deadline = None
+        self.executor.end_drain()
         await self._send(
             protocol.request(
                 "w.register",
@@ -293,10 +276,6 @@ class WorkerDaemon:
                 loop.add_signal_handler(signum, self.request_stop)
             except (ValueError, NotImplementedError, RuntimeError):
                 pass
-        pump = threading.Thread(
-            target=self._drain_progress, args=(loop,), daemon=True
-        )
-        pump.start()
         endpoint = self.config.socket_path or "%s:%d" % self.config.tcp
         failures = 0
         try:
@@ -332,11 +311,6 @@ class WorkerDaemon:
                 self.log("coordinator connection lost; reconnecting")
         finally:
             self._stop.set()
-            try:
-                self.progress_queue.put(None)
-            except Exception:  # noqa: BLE001
-                pass
-            pump.join(timeout=2.0)
 
 
 def serve_worker(config: WorkerConfig) -> None:

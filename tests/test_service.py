@@ -23,7 +23,7 @@ from repro.faults.plan import ALWAYS, FaultPlan, FaultSpec
 from repro.harness.parallel import WorkUnit, strip_volatile
 from repro.service import ServiceClient, ServiceError, wait_for_daemon
 from repro.service.daemon import Daemon, ServiceConfig
-from repro.service.pool import UnitExecutor
+from repro.harness.parallel import UnitExecutor
 from repro.service.scheduler import QUEUE_FILE
 
 
