@@ -60,23 +60,71 @@ def _specs() -> List:
     ]
 
 
+def cells(scale: float = 0.2, seed: int = 1234) -> List:
+    """The overhead half's simulation cells (Plain added)."""
+    from repro.experiments.common import make_config
+    from repro.harness.experiment import suite_cells
+    from repro.workloads.spec import ALL_PROFILES
+
+    return suite_cells(
+        ALL_PROFILES, _specs(), make_config(scale=scale, seed=seed)
+    )
+
+
+#: The zoo's work that is not simulation cells: ``run_all`` runs this
+#: function as a unit of its own and passes its value to
+#: :func:`regenerate` as the keyword of the same name.
+NON_CELL_WORK = "coverage"
+
+
+def coverage(scale: float = 0.2, seed: int = 1234, foundry_seed: int = 7) -> Dict:
+    """The coverage half: foundry corpus plus the hand-written suite."""
+    from repro.foundry.matrix import handwritten_matrix
+    from repro.foundry.runner import run_foundry
+
+    cases = max(18, int(120 * scale))
+    matrix = run_foundry(
+        foundry_seed, cases, defenses=COVERAGE_DEFENSES, jobs=1
+    )
+    attacks = handwritten_matrix(ATTACK_DEFENSES)
+    return {
+        "foundry_seed": foundry_seed,
+        "foundry_cases": cases,
+        "defenses": list(COVERAGE_DEFENSES),
+        "cells": matrix["cells"],
+        "latency": matrix["latency"],
+        "mispredictions": len(matrix["mispredictions"]),
+        "rest_false_negatives": matrix["rest_false_negatives"],
+        "attacks": attacks["attacks"],
+        "attack_defenses": list(ATTACK_DEFENSES),
+    }
+
+
+#: :func:`run` takes the coverage value under the function's own name.
+_measure_coverage = coverage
+
+
 def run(
     scale: float = 0.2,
     seed: int = 1234,
     progress: Optional[object] = None,
     foundry_seed: int = 7,
+    values: Optional[Dict] = None,
+    coverage: Optional[Dict] = None,
 ) -> Dict:
-    """Compute the zoo payload (see module docstring for the axes)."""
-    from repro.experiments.common import make_config
-    from repro.foundry.runner import run_foundry
-    from repro.foundry.matrix import handwritten_matrix
-    from repro.harness.experiment import run_suite
+    """Compute the zoo payload (see module docstring for the axes).
+
+    ``values`` (simulated cells) and ``coverage`` (the value of
+    :func:`coverage`) are computed here unless given.
+    """
+    from repro.harness.experiment import suite_results
     from repro.harness.metrics import geo_mean_overhead
     from repro.core.hwcost import mte_cost, rest_cost
     from repro.workloads.spec import ALL_PROFILES
 
-    config = make_config(scale=scale, seed=seed)
-    results = run_suite(ALL_PROFILES, _specs(), config, progress=progress)
+    results = suite_results(cells(scale, seed), values, progress)
+    if coverage is None:
+        coverage = _measure_coverage(scale, seed, foundry_seed)
 
     benchmarks: Dict[str, Dict[str, float]] = {}
     for profile in ALL_PROFILES:
@@ -102,12 +150,6 @@ def run(
             geo_mean_overhead(heavy, heavy_plains), 2
         )
 
-    cases = max(18, int(120 * scale))
-    matrix = run_foundry(
-        foundry_seed, cases, defenses=COVERAGE_DEFENSES, jobs=1
-    )
-    attacks = handwritten_matrix(ATTACK_DEFENSES)
-
     return {
         "schema": SCHEMA,
         "scale": scale,
@@ -119,17 +161,7 @@ def run(
             "alloc_heavy": alloc_heavy,
             "alloc_heavy_geomean": heavy_geomean,
         },
-        "coverage": {
-            "foundry_seed": foundry_seed,
-            "foundry_cases": cases,
-            "defenses": list(COVERAGE_DEFENSES),
-            "cells": matrix["cells"],
-            "latency": matrix["latency"],
-            "mispredictions": len(matrix["mispredictions"]),
-            "rest_false_negatives": matrix["rest_false_negatives"],
-            "attacks": attacks["attacks"],
-            "attack_defenses": list(ATTACK_DEFENSES),
-        },
+        "coverage": coverage,
         "hardware": {
             "rest": {
                 "memory_overhead_pct": round(
@@ -218,9 +250,16 @@ def render_text(payload: Dict) -> str:
     return "\n".join(lines)
 
 
-def regenerate(scale: float = 0.2, seed: int = 1234) -> str:
+def regenerate(
+    scale: float = 0.2,
+    seed: int = 1234,
+    values: Optional[Dict] = None,
+    coverage: Optional[Dict] = None,
+) -> str:
     """Canonical JSON for run_all (written as ``defensezoo.json``)."""
-    return to_json(run(scale=scale, seed=seed))
+    return to_json(
+        run(scale=scale, seed=seed, values=values, coverage=coverage)
+    )
 
 
 if __name__ == "__main__":

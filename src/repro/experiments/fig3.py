@@ -13,12 +13,12 @@ benchmarks that allocate frequently (gcc, xalancbmk).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.cpu.pipeline import CoreConfig
 from repro.experiments.common import cli_main
 from repro.harness.configs import DefenseSpec, SimulationConfig
-from repro.harness.experiment import run_suite
+from repro.harness.experiment import Cell, suite_cells, suite_results
 from repro.harness.reporting import bar_chart, format_table
 from repro.workloads.spec import ALL_PROFILES
 
@@ -33,7 +33,7 @@ COMPONENTS = [
 DEFAULT_SCALE = 0.25
 
 
-def run(scale: float = DEFAULT_SCALE, seed: int = 1234, progress=None):
+def cells(scale: float = DEFAULT_SCALE, seed: int = 1234) -> List[Cell]:
     specs = [
         DefenseSpec.asan(name=f"cum:{label}", **toggles)
         for label, toggles in COMPONENTS
@@ -41,7 +41,18 @@ def run(scale: float = DEFAULT_SCALE, seed: int = 1234, progress=None):
     config = SimulationConfig(
         core=CoreConfig.in_order(), scale=scale, seed=seed
     )
-    return run_suite(ALL_PROFILES, specs, config, progress=progress)
+    return suite_cells(ALL_PROFILES, specs, config)
+
+
+def run(
+    scale: float = DEFAULT_SCALE,
+    seed: int = 1234,
+    progress=None,
+    values: Optional[Dict] = None,
+):
+    """results[bench][spec]; simulated here unless ``values`` holds the
+    cells already (see :func:`repro.harness.experiment.suite_results`)."""
+    return suite_results(cells(scale, seed), values, progress)
 
 
 def breakdown(results) -> Dict[str, Dict[str, float]]:
@@ -84,8 +95,12 @@ def render(results) -> str:
     return table + "\n\n" + chart
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
-    return render(run(scale=scale, seed=seed))
+def regenerate(
+    scale: float = DEFAULT_SCALE,
+    seed: int = 1234,
+    values: Optional[Dict] = None,
+) -> str:
+    return render(run(scale=scale, seed=seed, values=values))
 
 
 if __name__ == "__main__":

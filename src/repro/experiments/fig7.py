@@ -15,11 +15,11 @@ Paper-reported headline values (for comparison):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.experiments.common import DEFAULT_SCALE, cli_main, make_config
 from repro.harness.configs import figure7_specs
-from repro.harness.experiment import run_suite
+from repro.harness.experiment import Cell, suite_cells, suite_results
 from repro.harness.metrics import geo_mean_overhead, weighted_mean_overhead
 from repro.harness.reporting import bar_chart, format_table, overhead_matrix
 from repro.workloads.spec import ALL_PROFILES
@@ -32,10 +32,21 @@ PAPER_VALUES = {
 }
 
 
-def run(scale: float = DEFAULT_SCALE, seed: int = 1234, progress=None):
-    """Run the full Figure 7 suite; returns results[bench][spec]."""
-    config = make_config(scale=scale, seed=seed)
-    return run_suite(ALL_PROFILES, figure7_specs(), config, progress=progress)
+def cells(scale: float = DEFAULT_SCALE, seed: int = 1234) -> List[Cell]:
+    return suite_cells(
+        ALL_PROFILES, figure7_specs(), make_config(scale=scale, seed=seed)
+    )
+
+
+def run(
+    scale: float = DEFAULT_SCALE,
+    seed: int = 1234,
+    progress=None,
+    values: Optional[Dict] = None,
+):
+    """results[bench][spec]; simulated here unless ``values`` holds the
+    cells already (see :func:`repro.harness.experiment.suite_results`)."""
+    return suite_results(cells(scale, seed), values, progress)
 
 
 def render(results) -> str:
@@ -72,8 +83,12 @@ def render(results) -> str:
     return table + "\n\n" + chart
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
-    return render(run(scale=scale, seed=seed))
+def regenerate(
+    scale: float = DEFAULT_SCALE,
+    seed: int = 1234,
+    values: Optional[Dict] = None,
+) -> str:
+    return render(run(scale=scale, seed=seed, values=values))
 
 
 if __name__ == "__main__":

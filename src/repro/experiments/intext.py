@@ -17,24 +17,66 @@ The paper makes several quantitative claims outside its figures:
 
 from __future__ import annotations
 
+from typing import Dict, List, Optional
+
 from repro.core.modes import Mode
 from repro.experiments.common import DEFAULT_SCALE, cli_main, make_config
 from repro.harness.configs import DefenseSpec
-from repro.harness.experiment import run_benchmark, run_suite
+from repro.harness.experiment import (
+    Cell,
+    cell_result,
+    simulate_cells,
+    suite_cells,
+    suite_results,
+)
 from repro.harness.metrics import weighted_mean_overhead
 from repro.harness.reporting import format_table
 from repro.workloads.spec import ALL_PROFILES, profile_by_name
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
+#: Suite-wide specs (Plain is added by ``suite_cells``).
+SUITE_SPECS = (
+    DefenseSpec.rest("Secure Full"),
+    DefenseSpec.rest("Secure Heap", protect_stack=False),
+    DefenseSpec.rest("PerfectHW Full", perfect_hw=True),
+    DefenseSpec.rest("PerfectHW Heap", protect_stack=False, perfect_hw=True),
+)
+
+
+def _xalanc_cells(scale: float, seed: int) -> List[Cell]:
+    """The secure and debug xalancbmk runs, in that order."""
     config = make_config(scale=scale, seed=seed)
+    profile = profile_by_name("xalancbmk")
+    return [
+        Cell(profile, DefenseSpec.rest("Secure Full"), config),
+        Cell(profile, DefenseSpec.rest("Debug Full", mode=Mode.DEBUG), config),
+    ]
+
+
+def _suite_cells(scale: float, seed: int) -> List[Cell]:
+    return suite_cells(
+        ALL_PROFILES, SUITE_SPECS, make_config(scale=scale, seed=seed)
+    )
+
+
+def cells(scale: float = DEFAULT_SCALE, seed: int = 1234) -> List[Cell]:
+    return _xalanc_cells(scale, seed) + _suite_cells(scale, seed)
+
+
+def regenerate(
+    scale: float = DEFAULT_SCALE,
+    seed: int = 1234,
+    values: Optional[Dict] = None,
+) -> str:
+    """The in-text tables; simulated here unless ``values`` holds the
+    cells already."""
+    if values is None:
+        values = simulate_cells(cells(scale, seed))
     lines = []
 
     # -- per-mode microarchitectural effects on xalancbmk -------------------
-    profile = profile_by_name("xalancbmk")
-    secure = run_benchmark(profile, DefenseSpec.rest("Secure Full"), config)
-    debug = run_benchmark(
-        profile, DefenseSpec.rest("Debug Full", mode=Mode.DEBUG), config
+    secure, debug = (
+        cell_result(cell, values) for cell in _xalanc_cells(scale, seed)
     )
     blocked_ratio = debug.core_stats.rob_blocked_by_store_cycles / max(
         1, secure.core_stats.rob_blocked_by_store_cycles
@@ -81,15 +123,7 @@ def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
     )
 
     # -- suite-wide deltas ----------------------------------------------------
-    specs = [
-        DefenseSpec.rest("Secure Full"),
-        DefenseSpec.rest("Secure Heap", protect_stack=False),
-        DefenseSpec.rest("PerfectHW Full", perfect_hw=True),
-        DefenseSpec.rest(
-            "PerfectHW Heap", protect_stack=False, perfect_hw=True
-        ),
-    ]
-    results = run_suite(ALL_PROFILES, specs, config)
+    results = suite_results(_suite_cells(scale, seed), values)
     plains = [results[b]["Plain"].runtime for b in results]
 
     def wtd(name: str) -> float:

@@ -4,14 +4,24 @@
 writes one text file per table/figure (what EXPERIMENTS.md cites) plus
 a manifest recording the parameters used.
 
-Each experiment is an independent work unit fanned out over
-``--jobs`` worker processes (see :mod:`repro.harness.parallel`).
+The unit of work is the simulation cell.  Experiments built from cells
+(fig3, fig7, fig8, intext, stalls, defensezoo) declare them with a
+``cells(scale, seed)`` function; the planner removes duplicate cells
+across experiments by content and runs them as one work unit per
+(config, benchmark) *shard*, where each trace is generated once and
+replayed for every cell that shares it.  Work that is not cells (the
+tables, memoverhead, security, defensezoo's coverage half) stays one
+unit per experiment.  Units fan out over ``--jobs`` worker processes
+(see :mod:`repro.harness.parallel`); each experiment is rendered in
+this process as soon as every unit it needs has finished.
+
 Completed units land in a content-addressed cache under the output
 directory, so re-running the same sweep skips everything already
 computed; a unit that crashes is recorded as a structured error in the
-manifest while the rest of the sweep completes, and a re-run recomputes
-only the failed/missing cells.  Output is byte-identical regardless of
-job count (timing fields aside).
+manifest of every experiment that needs it while the rest of the sweep
+completes, and a re-run recomputes only the failed/missing units.
+Output is byte-identical regardless of job count (timing fields
+aside).
 
 ``--timeout``/``--retries`` activate the engine's resilience layer:
 hung workers are killed and re-dispatched, failed attempts retry with
@@ -25,14 +35,19 @@ the engine's ``fault.*`` events are written to
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
+import math
 import sys
 import time
+import traceback
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.harness.parallel import (
     ResultCache,
+    UnitResult,
     WorkUnit,
     execute_units,
     failed_units,
@@ -69,19 +84,89 @@ _SPECIAL_UNITS = {
 }
 
 
+@dataclass
+class PlannedExperiment:
+    """One experiment of a sweep and the units its output folds."""
+
+    module: str
+    scale: float
+    filename: str
+    #: uids of every unit the experiment needs: its own unit (named
+    #: after it) if it has non-cell work, then its shards.
+    units: List[str]
+    #: True if it is rendered from cell values (has ``cells()``).
+    from_cells: bool
+
+
+@dataclass
+class SweepPlan:
+    """The work units of one sweep and the experiments they make.
+
+    Iterates (and sizes) as its units, so it goes wherever a unit list
+    does: :func:`execute_units`, the job service, fault plans.
+    """
+
+    units: List[WorkUnit]
+    experiments: Dict[str, PlannedExperiment]
+    seed: int
+
+    def __iter__(self):
+        return iter(self.units)
+
+    def __len__(self) -> int:
+        return len(self.units)
+
+    def dependents(self, uids: Iterable[str]) -> List[str]:
+        """Experiments that need any of ``uids``, in plan order."""
+        wanted = set(uids)
+        return [
+            name
+            for name, experiment in self.experiments.items()
+            if wanted.intersection(experiment.units)
+        ]
+
+
+@dataclass
+class _Shard:
+    """One (config, benchmark) shard while the planner fills it."""
+
+    uid: str
+    config: object  # SimulationConfig
+    #: cell key -> cell: the distinct cells, first declaration wins.
+    cells: Dict[str, object] = field(default_factory=dict)
+    #: ``[module, scale]`` of every experiment that declared one.
+    sources: List[List] = field(default_factory=list)
+
+
+def check_scale(scale) -> None:
+    """ValueError unless ``scale`` is a positive, finite number."""
+    if (
+        not isinstance(scale, (int, float))
+        or isinstance(scale, bool)
+        or not math.isfinite(scale)
+        or scale <= 0
+    ):
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+
+
 def experiment_units(
     scale: float,
     seed: int,
     scales: Optional[Dict] = None,
     names: Optional[List[str]] = None,
-) -> List[WorkUnit]:
-    """One picklable work unit per experiment module.
+) -> SweepPlan:
+    """Plan a sweep: the shard and experiment units, and what each
+    experiment folds.
 
     ``names`` restricts the sweep to a subset (request order, duplicates
-    collapsed); an unknown name raises ``ValueError`` so callers —
-    including the job service's admission control — reject bad requests
-    up front instead of failing mid-sweep.
+    collapsed); an unknown name or a scale that is not positive and
+    finite raises ``ValueError`` so callers — including the job
+    service's admission control — reject bad requests up front instead
+    of failing mid-sweep.
     """
+    from repro.harness.experiment import cell_key, config_key, spec_content
+
+    check_scale(scale)
     scales = EXPERIMENT_SCALES if scales is None else scales
     if names is not None:
         names = list(dict.fromkeys(names))
@@ -92,31 +177,153 @@ def experiment_units(
                 f"known: {', '.join(scales)}"
             )
         scales = {name: scales[name] for name in names}
-    units = []
+    units: List[WorkUnit] = []
+    experiments: Dict[str, PlannedExperiment] = {}
+    shards: Dict[Tuple[str, str], _Shard] = {}
     for name, override in scales.items():
         effective = override if override is not None else scale
-        module, _ = _SPECIAL_UNITS.get(
-            name, (f"repro.experiments.{name}", None)
+        module_name, filename = _SPECIAL_UNITS.get(
+            name, (f"repro.experiments.{name}", f"{name}.txt")
+        )
+        module = importlib.import_module(module_name)
+        declare = getattr(module, "cells", None)
+        needs: List[str] = []
+        if declare is None or hasattr(module, "NON_CELL_WORK"):
+            units.append(
+                WorkUnit(
+                    uid=name,
+                    module=module_name,
+                    func=getattr(module, "NON_CELL_WORK", "regenerate"),
+                    kwargs={"scale": effective, "seed": seed},
+                    key_payload={
+                        "experiment": name,
+                        "scale": effective,
+                        "seed": seed,
+                    },
+                )
+            )
+            needs.append(name)
+        for cell in declare(effective, seed) if declare else ():
+            ckey = config_key(cell.config)
+            shard = shards.get((ckey, cell.profile.name))
+            if shard is None:
+                shard = shards[ckey, cell.profile.name] = _Shard(
+                    f"cells/{ckey[:8]}/{cell.profile.name}", cell.config
+                )
+            shard.cells.setdefault(cell_key(cell), cell)
+            if [module_name, effective] not in shard.sources:
+                shard.sources.append([module_name, effective])
+            if shard.uid not in needs:
+                needs.append(shard.uid)
+        experiments[name] = PlannedExperiment(
+            module=module_name,
+            scale=effective,
+            filename=filename,
+            units=needs,
+            from_cells=declare is not None,
+        )
+    for (ckey, benchmark), shard in shards.items():
+        specs = sorted(
+            (spec_content(cell.spec) for cell in shard.cells.values()),
+            key=lambda spec: json.dumps(spec, sort_keys=True),
         )
         units.append(
             WorkUnit(
-                uid=name,
-                module=module,
-                func="regenerate",
-                kwargs={"scale": effective, "seed": seed},
-                key_payload={
-                    "experiment": name,
-                    "scale": effective,
+                uid=shard.uid,
+                module=__name__,
+                func="run_shard",
+                kwargs={
+                    "benchmark": benchmark,
+                    "config": ckey,
                     "seed": seed,
+                    "sources": shard.sources,
+                },
+                key_payload={
+                    "profile": benchmark,
+                    "config": shard.config.key_payload(),
+                    "specs": specs,
                 },
             )
         )
-    return units
+    return SweepPlan(units=units, experiments=experiments, seed=seed)
+
+
+def run_shard(
+    benchmark: str, config: str, seed: int, sources: List[List]
+) -> Dict[str, dict]:
+    """Work-unit target: simulate one (config, benchmark) shard.
+
+    ``sources`` lists the ``[module, scale]`` declarations the planner
+    merged; their cells on ``benchmark`` under the config whose content
+    key is ``config`` are simulated once each, sharing traces
+    (:func:`repro.harness.experiment.simulate_cells`).  Returns
+    {cell key: values}.
+    """
+    from repro.harness.experiment import config_key, simulate_cells
+
+    cells = [
+        cell
+        for module_name, scale in sources
+        for cell in importlib.import_module(module_name).cells(scale, seed)
+        if cell.profile.name == benchmark
+        and config_key(cell.config) == config
+    ]
+    return simulate_cells(cells)
+
+
+def _render(plan: SweepPlan, name: str, results: Dict[str, UnitResult]) -> str:
+    experiment = plan.experiments[name]
+    if not experiment.from_cells:
+        return results[name].value
+    module = importlib.import_module(experiment.module)
+    values: Dict[str, dict] = {}
+    extra = {}
+    for uid in experiment.units:
+        if uid == name:
+            extra[module.NON_CELL_WORK] = results[uid].value
+        else:
+            values.update(results[uid].value)
+    return module.regenerate(
+        scale=experiment.scale, seed=plan.seed, values=values, **extra
+    )
+
+
+def experiment_outcome(
+    plan: SweepPlan, name: str, results: Dict[str, UnitResult]
+) -> Tuple[str, Optional[str], Optional[dict]]:
+    """(progress status, text, error) of one experiment whose units
+    have all finished: its first failed unit's error, else its rendered
+    text (a failing render is an error too)."""
+    needs = [results[uid] for uid in plan.experiments[name].units]
+    for result in needs:
+        if result.ok:
+            continue
+        error = dict(result.error)
+        if result.uid != name:
+            error["unit"] = result.uid
+        if result.quarantined:
+            status = (
+                f"QUARANTINED: {error['type']} "
+                f"after {result.attempts} attempt(s)"
+            )
+        else:
+            status = f"FAILED: {error['type']}"
+        return status, None, error
+    try:
+        text = _render(plan, name, results)
+    except Exception as error:  # noqa: BLE001 — degrade like a unit
+        return f"FAILED: {type(error).__name__}", None, {
+            "type": type(error).__name__,
+            "message": str(error),
+            "traceback": traceback.format_exc(),
+        }
+    status = "cached" if all(result.cached for result in needs) else "ok"
+    return status, text, None
 
 
 def write_outputs(
     outdir,
-    units: List[WorkUnit],
+    plan: SweepPlan,
     results: Dict,
     scale: float,
     seed: int,
@@ -124,16 +331,23 @@ def write_outputs(
     tracer=None,
     resilient: bool = False,
     wall_seconds: float = 0.0,
+    outcomes: Optional[Dict] = None,
 ) -> Dict:
     """Write per-experiment artifacts + ``manifest.json`` for one sweep.
 
     Shared by :func:`run_all` and the job service's ``run_all`` job
     finalizer, so a job submitted through the service produces a
     directory (and manifest) ``strip_volatile``-identical to a direct
-    run of the same configuration.  Returns the manifest dict.
+    run of the same configuration.  ``outcomes`` holds experiments
+    already rendered (:func:`experiment_outcome`); the rest are
+    rendered here.  Each experiment record folds the units it needs:
+    ``cached`` if all were cache hits, ``attempts`` their maximum, and
+    the timing of every unit no earlier experiment already charged, so
+    the records sum to ``units_timing``.  Returns the manifest dict.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    outcomes = outcomes or {}
     manifest = {
         "scale": scale,
         "seed": seed,
@@ -141,30 +355,32 @@ def write_outputs(
         "started": time.strftime("%Y-%m-%d %H:%M:%S"),
         "experiments": {},
     }
-    unit_cpu = unit_wall = 0.0
-    for unit in units:  # unit order, not completion order: deterministic
-        result = results[unit.uid]
-        # Failed-unit timing counts too: a degraded sweep must not
-        # under-report what it actually spent.
-        unit_cpu += result.cpu_seconds
-        unit_wall += result.wall_seconds
+    charged = set()
+    # Plan order, not completion order: deterministic.
+    for name, experiment in plan.experiments.items():
+        needs = [results[uid] for uid in experiment.units]
+        fresh = [r for r in needs if r.uid not in charged]
+        charged.update(r.uid for r in fresh)
         record = {
-            "scale": unit.kwargs["scale"],
-            "cached": result.cached,
-            "cpu_seconds": round(result.cpu_seconds, 3),
-            "wall_seconds": round(result.wall_seconds, 3),
-            "attempts": result.attempts,
+            "scale": experiment.scale,
+            "cached": all(r.cached for r in needs),
+            "cpu_seconds": round(sum(r.cpu_seconds for r in fresh), 3),
+            "wall_seconds": round(sum(r.wall_seconds for r in fresh), 3),
+            "attempts": max((r.attempts for r in needs), default=1),
         }
-        if result.ok:
-            _, special_name = _SPECIAL_UNITS.get(unit.uid, (None, None))
-            target = out / (special_name or f"{unit.uid}.txt")
-            target.write_text(result.value + "\n")
+        outcome = outcomes.get(name) or experiment_outcome(
+            plan, name, results
+        )
+        _, text, error = outcome
+        if error is None:
+            target = out / experiment.filename
+            target.write_text(text + "\n")
             record["status"] = "ok"
             record["file"] = target.name
         else:
             record["status"] = "error"
-            record["error"] = result.error
-        manifest["experiments"][unit.uid] = record
+            record["error"] = error
+        manifest["experiments"][name] = record
     manifest["quarantine"] = quarantine_report(results)
     if resilient:
         manifest["fault"] = fault_summary(results, tracer)
@@ -172,9 +388,15 @@ def write_outputs(
             from repro.obs.tracer import write_jsonl
 
             write_jsonl(tracer.events(), out / "events-engine.jsonl")
+    # Failed-unit timing counts too: a degraded sweep must not
+    # under-report what it actually spent.
     manifest["units_timing"] = {
-        "cpu_seconds": round(unit_cpu, 3),
-        "wall_seconds": round(unit_wall, 3),
+        "cpu_seconds": round(
+            sum(results[unit.uid].cpu_seconds for unit in plan), 3
+        ),
+        "wall_seconds": round(
+            sum(results[unit.uid].wall_seconds for unit in plan), 3
+        ),
     }
     manifest["wall_seconds"] = round(wall_seconds, 3)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
@@ -207,8 +429,25 @@ def run_all(
     cache = None
     if use_cache:
         cache = ResultCache(cache_dir if cache_dir is not None else out / "cache")
-    units = experiment_units(scale, seed, names=names)
-    progress = None if quiet else (lambda msg: print(f"  {msg}", flush=True))
+    plan = experiment_units(scale, seed, names=names)
+
+    # Render each experiment as soon as every unit it needs finished,
+    # printing one progress line per experiment (none per unit).
+    finished: Dict[str, UnitResult] = {}
+    waiting = {
+        name: set(experiment.units)
+        for name, experiment in plan.experiments.items()
+    }
+    outcomes: Dict[str, tuple] = {}
+
+    def on_result(result: UnitResult) -> None:
+        finished[result.uid] = result
+        for name, needs in waiting.items():
+            needs.discard(result.uid)
+            if not needs and name not in outcomes:
+                outcomes[name] = experiment_outcome(plan, name, finished)
+                if not quiet:
+                    print(f"  {name} [{outcomes[name][0]}]", flush=True)
 
     resilient = is_resilient(timeout, retries)
     tracer = None
@@ -219,20 +458,20 @@ def run_all(
 
     wall0 = time.perf_counter()
     results = execute_units(
-        units,
+        plan,
         jobs=jobs,
         cache=cache,
-        progress=progress,
         timeout=timeout,
         retries=retries,
         backoff=backoff,
         retry_seed=seed,
         tracer=tracer,
+        on_result=on_result,
     )
 
     manifest = write_outputs(
         out,
-        units,
+        plan,
         results,
         scale=scale,
         seed=seed,
@@ -240,19 +479,20 @@ def run_all(
         tracer=tracer,
         resilient=resilient,
         wall_seconds=time.perf_counter() - wall0,
+        outcomes=outcomes,
     )
 
-    failures = failed_units(results)
     if not quiet:
-        done = sum(1 for r in results.values() if r.ok)
-        hits = sum(1 for r in results.values() if r.cached)
+        records = manifest["experiments"].values()
+        done = sum(1 for record in records if record["status"] == "ok")
+        hits = sum(1 for record in records if record["cached"])
         degraded = " DEGRADED" if manifest["quarantine"] else ""
         print(
-            f"  {done}/{len(units)} experiments ok ({hits} cached, "
-            f"{len(failures)} failed) in {manifest['wall_seconds']:.1f}s "
-            f"-> {out}{degraded}"
+            f"  {done}/{len(records)} experiments ok ({hits} cached, "
+            f"{len(records) - done} failed) in "
+            f"{manifest['wall_seconds']:.1f}s -> {out}{degraded}"
         )
-        for uid, error in sorted(failures.items()):
+        for uid, error in sorted(failed_units(results).items()):
             attempts = results[uid].attempts
             print(
                 f"  QUARANTINED {uid}: {error['type']}: "
@@ -273,6 +513,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number, got {text}"
+        )
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _cache_dir(text: str) -> str:
     if Path(text).is_file():
         raise argparse.ArgumentTypeError(
@@ -284,7 +546,7 @@ def _cache_dir(text: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="results")
-    parser.add_argument("--scale", type=float, default=0.5)
+    parser.add_argument("--scale", type=_positive_float, default=0.5)
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument(
         "--jobs",
@@ -306,7 +568,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help="per-unit wall-clock timeout (hung workers are killed "
@@ -314,7 +576,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help="extra attempts per failed unit before quarantine",

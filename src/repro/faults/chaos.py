@@ -15,6 +15,9 @@ be **byte-identical** to the fault-free baseline — injected hangs,
 crashes, transient failures, allocator errors, and cache corruption
 may cost retries, but they must never change a result.  Units the plan
 made permanently faulty must end up quarantined (and nothing else may).
+Faults are planned over the sweep's work units — shards and experiment
+units alike — so a quarantined unit excuses exactly the experiments
+that need it.
 """
 
 from __future__ import annotations
@@ -162,9 +165,11 @@ def run_chaos(
                 f"{uid}: permanently faulted but not quarantined"
             )
 
+    # A quarantined shard takes down every experiment that needs it.
+    degraded = units.dependents(quarantined)
     mismatches: List[str] = []
-    base_records = _experiment_records(baseline, quarantined)
-    chaos_records = _experiment_records(chaos, quarantined)
+    base_records = _experiment_records(baseline, degraded)
+    chaos_records = _experiment_records(chaos, degraded)
     if strip_volatile(base_records) != strip_volatile(chaos_records):
         for name in sorted(set(base_records) | set(chaos_records)):
             if strip_volatile(base_records.get(name)) != strip_volatile(

@@ -1,21 +1,29 @@
 """Run (benchmark × defense) pairs through the full stack.
 
 One run = generate the workload trace against the defense (trace-mode
-machine, Python-side allocator bookkeeping), then replay the trace on
-the cycle-level out-of-order core against a fresh REST-extended memory
-hierarchy with the right token width and operating mode.  Runtime is
-the cycle count; overheads are runtimes normalised to the Plain run of
-the same benchmark and seed.
+machine, Python-side allocator bookkeeping; :func:`generate_trace`),
+then replay the trace on the cycle-level out-of-order core against a
+fresh REST-extended memory hierarchy with the right token width and
+operating mode (:func:`replay_trace`).  Runtime is the cycle count;
+overheads are runtimes normalised to the Plain run of the same
+benchmark and seed.
+
+Experiments declare the runs they need as :class:`Cell` values;
+:func:`simulate_cells` runs each distinct cell once and generates each
+distinct trace once (the operating mode only reaches replay).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+import hashlib
+import json
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.hierarchy import HierarchyStats, MemoryHierarchy
 from repro.core.modes import Mode
 from repro.core.token import Token, TokenConfigRegister
+from repro.cpu.isa import MicroOp
 from repro.cpu.pipeline import OutOfOrderCore
 from repro.cpu.stats import CoreStats
 from repro.defenses import Defense
@@ -71,6 +79,36 @@ class RunResult:
 
         return stall_buckets(self.core_stats)
 
+    def to_values(self) -> dict:
+        """JSON-safe form of every counter (a cell's cached value)."""
+        return {
+            "core": asdict(self.core_stats),
+            "workload": asdict(self.workload_stats),
+            "hierarchy": asdict(self.hierarchy_stats),
+            "l1d_miss_rate": self.l1d_miss_rate,
+            "l2_miss_rate": self.l2_miss_rate,
+        }
+
+    @classmethod
+    def from_values(
+        cls, benchmark: str, spec: DefenseSpec, values: dict
+    ) -> "RunResult":
+        """Inverse of :meth:`to_values`."""
+        core = CoreStats(**values["core"])
+        workload = WorkloadStats(**values["workload"])
+        return cls(
+            benchmark=benchmark,
+            spec=spec,
+            cycles=core.cycles,
+            instructions=core.committed,
+            app_instructions=workload.app_instructions,
+            core_stats=core,
+            workload_stats=workload,
+            hierarchy_stats=HierarchyStats(**values["hierarchy"]),
+            l1d_miss_rate=values["l1d_miss_rate"],
+            l2_miss_rate=values["l2_miss_rate"],
+        )
+
 
 def build_defense(machine: Machine, spec: DefenseSpec) -> Defense:
     """Instantiate the defense a spec describes, bound to a machine.
@@ -110,26 +148,18 @@ def _make_hierarchy(spec: DefenseSpec, config: SimulationConfig) -> MemoryHierar
     )
 
 
-def run_benchmark(
+def generate_trace(
     profile: BenchmarkProfile,
     spec: DefenseSpec,
-    config: Optional[SimulationConfig] = None,
-    core_config=None,
-    on_sample: Optional[Callable] = None,
-    sample_interval: Optional[int] = None,
-) -> RunResult:
-    """Simulate one benchmark under one defense spec.
+    config: SimulationConfig,
+) -> Tuple[List[MicroOp], WorkloadStats]:
+    """Phase 1: the workload's uop trace through the defense's software
+    stack, plus the generator's statistics.
 
-    ``on_sample`` routes the replay through the interval sampler
-    (:func:`repro.obs.sampler.run_sampled`) and forwards each snapshot
-    as it is taken — the live-telemetry path used by ``repro sweep
-    --live`` and the job service.  The sampled replay is
-    stats-identical to the plain one, so results (and cache entries)
-    do not depend on whether a run was observed.
+    Depends on every spec field except ``name`` and ``mode`` (see
+    :func:`trace_key`), so cells differing only in those replay one
+    trace.
     """
-    config = config or SimulationConfig()
-
-    # Phase 1: generate the trace through the defense's software stack.
     trace_machine = make_trace_machine(spec)
     defense = build_defense(trace_machine, spec)
     workload = SyntheticWorkload(
@@ -140,9 +170,22 @@ def run_benchmark(
         alloc_intensity=config.alloc_intensity,
     )
     workload_stats = workload.run()
-    trace = trace_machine.take_trace()
+    return trace_machine.take_trace(), workload_stats
 
-    # Phase 2: replay on the cycle-level core with REST hardware.
+
+def replay_trace(
+    profile: BenchmarkProfile,
+    spec: DefenseSpec,
+    config: SimulationConfig,
+    trace: List[MicroOp],
+    workload_stats: WorkloadStats,
+    core_config=None,
+    on_sample: Optional[Callable] = None,
+    sample_interval: Optional[int] = None,
+) -> RunResult:
+    """Phase 2: replay ``trace`` on the cycle-level core against a fresh
+    REST-extended hierarchy.  The trace can be replayed again: the core
+    only restamps each uop's ``seq``."""
     hierarchy = _make_hierarchy(spec, config)
     core = OutOfOrderCore(hierarchy, config=core_config or config.core)
     if on_sample is None:
@@ -171,6 +214,37 @@ def run_benchmark(
     )
 
 
+def run_benchmark(
+    profile: BenchmarkProfile,
+    spec: DefenseSpec,
+    config: Optional[SimulationConfig] = None,
+    core_config=None,
+    on_sample: Optional[Callable] = None,
+    sample_interval: Optional[int] = None,
+) -> RunResult:
+    """Simulate one benchmark under one defense spec.
+
+    ``on_sample`` routes the replay through the interval sampler
+    (:func:`repro.obs.sampler.run_sampled`) and forwards each snapshot
+    as it is taken — the live-telemetry path used by ``repro sweep
+    --live`` and the job service.  The sampled replay is
+    stats-identical to the plain one, so results (and cache entries)
+    do not depend on whether a run was observed.
+    """
+    config = config or SimulationConfig()
+    trace, workload_stats = generate_trace(profile, spec, config)
+    return replay_trace(
+        profile,
+        spec,
+        config,
+        trace,
+        workload_stats,
+        core_config=core_config,
+        on_sample=on_sample,
+        sample_interval=sample_interval,
+    )
+
+
 def run_suite(
     profiles: Sequence[BenchmarkProfile],
     specs: Sequence[DefenseSpec],
@@ -181,18 +255,140 @@ def run_suite(
     """Run every (benchmark, spec) pair; returns results[bench][spec].
 
     A Plain baseline run is added automatically (key "Plain") unless
-    already present or disabled.
+    already present or disabled.  Pairs that simulate the same cell
+    run once (see :func:`simulate_cells`).
     """
-    config = config or SimulationConfig()
+    cells = suite_cells(
+        profiles, specs, config or SimulationConfig(), include_plain
+    )
+    return suite_results(cells, progress=progress)
+
+
+# -- simulation cells --------------------------------------------------------
+
+
+class Cell(NamedTuple):
+    """One simulation an experiment needs: benchmark x defense x config."""
+
+    profile: BenchmarkProfile
+    spec: DefenseSpec
+    config: SimulationConfig
+
+
+def _digest(payload) -> str:
+    body = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(body.encode()).hexdigest()[:32]
+
+
+def spec_content(spec: DefenseSpec) -> dict:
+    """The spec's cache payload without its display ``name``."""
+    payload = spec.key_payload()
+    del payload["name"]
+    return payload
+
+
+def config_key(config: SimulationConfig) -> str:
+    """Content key of a simulation config."""
+    return _digest(config.key_payload())
+
+
+def cell_key(cell: Cell) -> str:
+    """Content key of a cell: equal keys simulate to equal results,
+    whatever the experiment calls the spec."""
+    return _digest(
+        {
+            "profile": cell.profile.name,
+            "spec": spec_content(cell.spec),
+            "config": cell.config.key_payload(),
+        }
+    )
+
+
+def trace_key(cell: Cell) -> str:
+    """Content key of a cell's trace: :func:`generate_trace` reads
+    neither the spec's ``name`` nor its ``mode``, nor the config's
+    core, hierarchy or token seed."""
+    spec = spec_content(cell.spec)
+    del spec["mode"]
+    config = cell.config
+    return _digest(
+        {
+            "profile": cell.profile.name,
+            "spec": spec,
+            "workload": [config.seed, config.scale, config.alloc_intensity],
+        }
+    )
+
+
+def simulate_cells(
+    cells: Sequence[Cell], progress: Optional[Callable[[str], None]] = None
+) -> Dict[str, dict]:
+    """Simulate each distinct cell once; returns {cell_key: values}.
+
+    Cells are grouped by :func:`trace_key`: each trace is generated
+    once, replayed for every distinct cell that shares it, then
+    dropped, so at most one trace is alive at a time.  ``values`` is
+    :meth:`RunResult.to_values` of a cell's run, identical to what
+    :func:`run_benchmark` would have produced for it.
+    """
+    groups: Dict[str, Dict[str, Cell]] = {}
+    for cell in cells:
+        groups.setdefault(trace_key(cell), {}).setdefault(cell_key(cell), cell)
+    values: Dict[str, dict] = {}
+    for group in groups.values():
+        first = next(iter(group.values()))
+        trace, workload_stats = generate_trace(
+            first.profile, first.spec, first.config
+        )
+        for key, cell in group.items():
+            if progress is not None:
+                progress(f"{cell.profile.name} / {cell.spec.name}")
+            values[key] = replay_trace(
+                cell.profile, cell.spec, cell.config, trace, workload_stats
+            ).to_values()
+        del trace  # before the next group's trace is generated
+    return values
+
+
+def suite_cells(
+    profiles: Sequence[BenchmarkProfile],
+    specs: Sequence[DefenseSpec],
+    config: SimulationConfig,
+    include_plain: bool = True,
+) -> List[Cell]:
+    """The cells of :func:`run_suite` over the same arguments."""
     all_specs: List[DefenseSpec] = list(specs)
     if include_plain and not any(s.defense == "plain" for s in all_specs):
         all_specs.insert(0, DefenseSpec.plain())
+    return [
+        Cell(profile, spec, config)
+        for profile in profiles
+        for spec in all_specs
+    ]
+
+
+def cell_result(cell: Cell, values: Dict[str, dict]) -> RunResult:
+    """The :class:`RunResult` of one cell out of a values mapping."""
+    return RunResult.from_values(
+        cell.profile.name, cell.spec, values[cell_key(cell)]
+    )
+
+
+def suite_results(
+    cells: Sequence[Cell],
+    values: Optional[Dict[str, dict]] = None,
+    progress: Optional[Callable[[str], None]] = None,
+) -> Dict[str, Dict[str, RunResult]]:
+    """results[bench][spec name], shaped like :func:`run_suite`'s.
+
+    ``values`` holds already-simulated cells (a sweep's shard results);
+    without it the cells are simulated here, in-process.
+    """
+    if values is None:
+        values = simulate_cells(cells, progress)
     results: Dict[str, Dict[str, RunResult]] = {}
-    for profile in profiles:
-        per_bench: Dict[str, RunResult] = {}
-        for spec in all_specs:
-            if progress is not None:
-                progress(f"{profile.name} / {spec.name}")
-            per_bench[spec.name] = run_benchmark(profile, spec, config)
-        results[profile.name] = per_bench
+    for cell in cells:
+        results.setdefault(cell.profile.name, {})[cell.spec.name] = (
+            cell_result(cell, values)
+        )
     return results

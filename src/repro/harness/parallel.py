@@ -924,6 +924,7 @@ def execute_units(
     retry_seed: int = 0,
     tracer=None,
     progress_queue=None,
+    on_result: Optional[Callable[[UnitResult], None]] = None,
 ) -> Dict[str, UnitResult]:
     """Run every unit, in parallel when ``jobs > 1``; returns {uid: result}.
 
@@ -950,6 +951,9 @@ def execute_units(
     context) installs the live progress channel in every worker: unit
     targets that call :func:`emit_progress` stream uid-tagged events to
     the parent while running.  The caller owns draining the queue.
+
+    ``on_result`` sees every final result as it lands — cache hits
+    first, in unit order, then executed units in completion order.
     """
     ordered: List[WorkUnit] = list(units)
     seen = set()
@@ -975,6 +979,8 @@ def execute_units(
                 )
                 if progress is not None:
                     progress(f"{unit.uid} [cached]")
+                if on_result is not None:
+                    on_result(results[unit.uid])
                 continue
         pending.append(unit)
 
@@ -996,6 +1002,8 @@ def execute_units(
             else:
                 status = f"FAILED: {result.error['type']}"
             progress(f"{result.uid} [{status}]")
+        if on_result is not None and not quiet:
+            on_result(result)
 
     if multiprocessing.current_process().daemon or (
         jobs <= 1 and not is_resilient(timeout, retries)

@@ -42,7 +42,7 @@ the simulator hot path.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 #: Bucket names in priority (and display) order; ``other`` is the
 #: residual.
@@ -173,18 +173,35 @@ def verify_buckets(stats) -> Dict[str, int]:
 STALL_SWEEP_MODES = ("plain", "asan", "rest-secure", "rest-debug")
 
 
-def collect_mode_stalls(
-    benchmark: str, scale: float, seed: int, modes=STALL_SWEEP_MODES
-) -> Dict:
-    """Run the standard defense modes and collect verified buckets."""
+def _mode_cells(benchmark: str, scale: float, seed: int, modes) -> List:
     from repro.harness.bench import bench_specs
     from repro.harness.configs import SimulationConfig
-    from repro.harness.experiment import run_benchmark
+    from repro.harness.experiment import Cell
     from repro.workloads.spec import profile_by_name
 
     specs = bench_specs()
     profile = profile_by_name(benchmark)
     config = SimulationConfig(scale=scale, seed=seed)
+    return [Cell(profile, specs[name], config) for name in modes]
+
+
+def collect_mode_stalls(
+    benchmark: str,
+    scale: float,
+    seed: int,
+    modes=STALL_SWEEP_MODES,
+    values: Optional[Dict] = None,
+) -> Dict:
+    """Run the standard defense modes and collect verified buckets.
+
+    ``values`` holds already-simulated cells (a sweep's shard results);
+    without it the cells are simulated here, in-process.
+    """
+    from repro.harness.experiment import cell_result, simulate_cells
+
+    cells = _mode_cells(benchmark, scale, seed, modes)
+    if values is None:
+        values = simulate_cells(cells)
     payload: Dict = {
         "benchmark": benchmark,
         "scale": scale,
@@ -192,11 +209,10 @@ def collect_mode_stalls(
         "buckets": list(STALL_BUCKETS),
         "modes": {},
     }
-    for name in modes:
-        result = run_benchmark(profile, specs[name], config)
-        stats = result.core_stats
+    for name, cell in zip(modes, cells):
+        stats = cell_result(cell, values).core_stats
         payload["modes"][name] = {
-            "defense": specs[name].name,
+            "defense": cell.spec.name,
             "cycles": stats.cycles,
             "committed": stats.committed,
             "cpi": round(stats.cpi, 4),
@@ -205,13 +221,26 @@ def collect_mode_stalls(
     return payload
 
 
-def regenerate(scale: float = 0.2, seed: int = 1234) -> str:
-    """Work-unit entry point for ``run_all``: the stalls.json artifact.
+#: The benchmark the ``run_all`` stalls artifact decomposes.
+SWEEP_BENCHMARK = "xalancbmk"
+
+
+def cells(scale: float = 0.2, seed: int = 1234) -> List:
+    """The simulation cells of the ``run_all`` stalls artifact."""
+    return _mode_cells(SWEEP_BENCHMARK, scale, seed, STALL_SWEEP_MODES)
+
+
+def regenerate(
+    scale: float = 0.2, seed: int = 1234, values: Optional[Dict] = None
+) -> str:
+    """The ``run_all`` stalls.json artifact.
 
     Returns the JSON text of the per-defense stall decomposition for
     the sweep's benchmark; ``run_all`` writes it as ``stalls.json``
     next to the experiment outputs so ``repro report`` can render the
     per-defense waterfall from a sweep directory.
     """
-    payload = collect_mode_stalls("xalancbmk", scale=scale, seed=seed)
+    payload = collect_mode_stalls(
+        SWEEP_BENCHMARK, scale=scale, seed=seed, values=values
+    )
     return json.dumps(payload, indent=2, sort_keys=True)

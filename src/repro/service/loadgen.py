@@ -493,21 +493,22 @@ def _execute_kill_plan(
 
 
 def _manifest_identity(
-    baseline_dir: Path, chaos_dir: Path, quarantined: List[str]
+    baseline_dir: Path, chaos_dir: Path, degraded: List[str]
 ) -> List[str]:
-    """Mismatch list (empty = identical) for non-quarantined units."""
+    """Mismatch list (empty = identical) for every experiment not in
+    ``degraded`` (those needing a quarantined unit)."""
     baseline = json.loads((baseline_dir / "manifest.json").read_text())
     chaos = json.loads((chaos_dir / "manifest.json").read_text())
     mismatches: List[str] = []
     base_records = {
         name: record
         for name, record in baseline.get("experiments", {}).items()
-        if name not in quarantined
+        if name not in degraded
     }
     chaos_records = {
         name: record
         for name, record in chaos.get("experiments", {}).items()
-        if name not in quarantined
+        if name not in degraded
     }
     for name in sorted(set(base_records) | set(chaos_records)):
         if strip_volatile(base_records.get(name)) != strip_volatile(
@@ -617,7 +618,7 @@ def run_chaos_phase(options: LoadgenOptions, say) -> Dict:
     quarantine_actual = sorted(chaos_manifest.get("quarantine", {}))
     quarantine_expected = fault_plan.permanent_uids()
     mismatches = _manifest_identity(
-        baseline_run, chaos_run, quarantine_actual
+        baseline_run, chaos_run, units.dependents(quarantine_actual)
     )
     identity = (
         not mismatches and quarantine_actual == quarantine_expected

@@ -494,9 +494,16 @@ class TestRunAllIntegration:
         )
 
         assert "stalls" in EXPERIMENT_SCALES
-        units = {u.uid: u for u in experiment_units(scale=0.1, seed=1)}
-        assert units["stalls"].module == "repro.obs.stalls"
+        plan = experiment_units(scale=0.1, seed=1)
+        units = {u.uid: u for u in plan}
+        stalls = plan.experiments["stalls"]
+        assert stalls.module == "repro.obs.stalls"
+        assert stalls.filename == "stalls.json"
         assert _SPECIAL_UNITS["stalls"][1] == "stalls.json"
+        # stalls is made of cells only: its shards are fig7's.
+        assert stalls.from_cells and "stalls" not in units
+        assert stalls.units
+        assert set(stalls.units) <= set(plan.experiments["fig7"].units)
         # Regular experiments still resolve to their own modules.
         assert units["table1"].module == "repro.experiments.table1"
 

@@ -187,6 +187,16 @@ class TestAdmissionControl:
                     assert hint in str(excinfo.value)
                 assert daemon.scheduler.jobs == {}
 
+    def test_bad_run_all_scale_rejected_at_admission(self):
+        with running_daemon() as (daemon, socket_path, state):
+            with ServiceClient(socket_path=socket_path) as client:
+                for scale in (-1.0, 0.0, float("nan"), float("inf")):
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.submit("run_all", {"scale": scale})
+                    assert excinfo.value.code == "bad_params"
+                    assert "scale" in str(excinfo.value)
+                assert daemon.scheduler.jobs == {}
+
 
 class TestLiveProgress:
     def test_watch_streams_samples_while_job_runs(self):
