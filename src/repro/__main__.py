@@ -4,10 +4,13 @@ Commands
 --------
 
 ``experiments [names...] [--scale S] [--jobs N] [--timeout T] [--retries R]``
-    Regenerate paper tables/figures (default: all of them), fanning
-    out over N worker processes; ``--timeout``/``--retries`` activate
-    the resilience layer (hung-worker kill, retry with backoff,
-    quarantine).
+    Regenerate paper tables/figures (default: ``run_all``'s set;
+    ``attackmatrix`` by name only), every one at scale S, and print
+    them in request order.  Planned by ``run_all``'s planner, so
+    simulation cells run deduplicated, one (config, benchmark) shard
+    per unit, over N worker processes; ``--timeout``/``--retries``
+    activate the resilience layer (hung-worker kill, retry with
+    backoff, quarantine).
 ``sweep [--seeds a b c] [--jobs N] [--cache DIR] [--live] ...``
     Multi-seed stability sweep of the Figure 7 configurations.
     ``--live`` streams per-cell sampler snapshots while cells run; a
@@ -66,46 +69,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-
-def _positive_int(text: str) -> int:
-    """argparse type for flags that only make sense strictly positive.
-
-    Rejecting ``--jobs 0`` here (instead of silently running serial)
-    gives the standard argparse usage error and a non-zero exit.
-    """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
-    return value
-
-
-def _cache_dir(text: str) -> str:
-    """argparse type for cache-directory flags: reject plain files."""
-    from pathlib import Path
-
-    if Path(text).is_file():
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is a file, not a cache directory"
-        )
-    return text
-
-EXPERIMENTS = (
-    "table1",
-    "table2",
-    "table3",
-    "fig3",
-    "fig7",
-    "fig8",
-    "intext",
-    "memoverhead",
-    "security",
-    "attackmatrix",
-    "defensezoo",
+from repro.argtypes import (
+    cache_dir,
+    non_negative_int,
+    positive_float,
+    positive_int,
 )
 
 #: Defense axes of the foundry (canonical registry names — kept in
@@ -124,54 +92,50 @@ FOUNDRY_DEFENSES = (
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.harness.parallel import ResultCache, WorkUnit, execute_units
+    from repro.experiments.run_all import (
+        EXPERIMENT_SCALES,
+        experiment_outcome,
+        experiment_units,
+    )
+    from repro.harness.parallel import ResultCache, execute_units
 
-    names = args.names or list(EXPERIMENTS)
-    for name in names:
-        if name not in EXPERIMENTS:
-            print(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
-            return 2
-    names = list(dict.fromkeys(names))  # work-unit ids must be unique
-    unit_kwargs = {"scale": args.scale, "seed": args.seed}
-    units = [
-        WorkUnit(
-            uid=name,
-            module=f"repro.experiments.{name}",
-            func="regenerate",
-            kwargs=dict(unit_kwargs),
-            key_payload={"experiment": name, **unit_kwargs},
+    # Every named experiment runs at --scale: no per-experiment override.
+    names = args.names or list(EXPERIMENT_SCALES)
+    try:
+        plan = experiment_units(
+            args.scale, args.seed, scales=dict.fromkeys(names)
         )
-        for name in names
-    ]
-    cache = ResultCache(args.cache) if args.cache else None
+    except ValueError as error:
+        print(error)
+        return 2
     results = execute_units(
-        units,
+        plan,
         jobs=args.jobs,
-        cache=cache,
+        cache=ResultCache(args.cache) if args.cache else None,
         timeout=args.timeout,
         retries=args.retries,
     )
     status = 0
-    for name in names:  # print in request order whatever finished first
-        result = results[name]
+    for name in plan.experiments:  # request order, whatever finished first
+        _, text, error = experiment_outcome(plan, name, results)
         print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-        if result.ok:
-            print(result.value)
-        else:
-            after = (
-                f" (after {result.attempts} attempts)"
-                if result.attempts > 1
-                else ""
-            )
-            print(f"FAILED: {result.error['type']}: "
-                  f"{result.error['message']}{after}")
-            status = 1
+        if error is None:
+            print(text)
+            continue
+        failed = results.get(error.get("unit", name))
+        after = (
+            f" (after {failed.attempts} attempts)"
+            if failed is not None and failed.attempts > 1
+            else ""
+        )
+        print(f"FAILED: {error['type']}: {error['message']}{after}")
+        status = 1
     return status
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.configs import figure7_specs
-    from repro.harness.parallel import ResultCache, _mp_context
+    from repro.harness.parallel import ResultCache
     from repro.harness.sweeps import SweepError, seed_sweep
     from repro.workloads.spec import ALL_PROFILES, profile_by_name
 
@@ -182,34 +146,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     cache = ResultCache(args.cache) if args.cache else None
 
-    # --live: drain the workers' progress channel in a thread and print
-    # one status line per sampler snapshot while cells run.
-    progress_queue = None
-    drain_thread = None
-    if args.live:
-        import queue as _queue_mod
-        import threading
-
-        progress_queue = _mp_context().Queue()
-
-        def drain() -> None:
-            while True:
-                try:
-                    event = progress_queue.get(timeout=0.2)
-                except (_queue_mod.Empty, OSError):
-                    continue
-                if event is None:
-                    return
-                if event.get("kind") == "sample":
-                    print(
-                        f"  live {event.get('uid')}: "
-                        f"cycle {event.get('cycle'):>8,}  "
-                        f"ipc {event.get('ipc'):.2f}",
-                        flush=True,
-                    )
-
-        drain_thread = threading.Thread(target=drain, daemon=True)
-        drain_thread.start()
+    def show_sample(event: dict) -> None:
+        """--live: one status line per sampler snapshot while cells run."""
+        if event.get("kind") == "sample":
+            print(
+                f"  live {event.get('uid')}: "
+                f"cycle {event.get('cycle'):>8,}  "
+                f"ipc {event.get('ipc'):.2f}",
+                flush=True,
+            )
 
     try:
         sweep = seed_sweep(
@@ -222,7 +167,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             retries=args.retries,
             live=args.live,
-            progress_queue=progress_queue,
+            on_progress=show_sample if args.live else None,
         )
     except SweepError as error:
         # Structured failure: name the cell and the worker's error type
@@ -236,14 +181,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except (ValueError, RuntimeError) as error:
         print(f"sweep failed: {error}")
         return 2
-    finally:
-        if progress_queue is not None:
-            try:
-                progress_queue.put(None)
-            except Exception:  # noqa: BLE001 — teardown is best-effort
-                pass
-            if drain_thread is not None:
-                drain_thread.join(timeout=2.0)
     print(f"{'config':16s} {'mean%':>8s} {'stdev':>7s} {'spread':>7s}  "
           f"({len(args.seeds)} seeds, scale {args.scale})")
     for name, result in sweep.items():
@@ -353,9 +290,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if args.action == "record":
         from repro.harness.configs import DefenseSpec, SimulationConfig
-        from repro.harness.experiment import build_defense
-        from repro.runtime.machine import ExecutionMode, Machine
-        from repro.workloads.generator import SyntheticWorkload
+        from repro.harness.experiment import generate_trace
         from repro.workloads.spec import profile_by_name
 
         spec = {
@@ -369,17 +304,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             "mte-async": DefenseSpec.mte("MTE Async", "async"),
             "mte-asymm": DefenseSpec.mte("MTE Asymm", "asymm"),
         }[args.defense]
-        machine = Machine(mode=ExecutionMode.TRACE)
-        defense = build_defense(machine, spec)
-        config = SimulationConfig(scale=args.scale)
-        SyntheticWorkload(
+        trace, _ = generate_trace(
             profile_by_name(args.benchmark),
-            defense,
-            seed=config.seed,
-            scale=config.scale,
-            alloc_intensity=config.alloc_intensity,
-        ).run()
-        trace = machine.take_trace()
+            spec,
+            SimulationConfig(scale=args.scale),
+        )
         data = encode_trace(trace)
         with open(args.file, "wb") as handle:
             handle.write(data)
@@ -465,9 +394,8 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
 
 def _cmd_minic(args: argparse.Namespace) -> int:
     from repro.core import RestException
-    from repro.defenses import AsanDefense, MteDefense, PlainDefense, RestDefense
+    from repro.defenses import make_defense
     from repro.lang import Interpreter, parse
-    from repro.runtime import Machine
     from repro.runtime.mte import MteViolation
     from repro.runtime.shadow import AsanViolation
 
@@ -475,16 +403,7 @@ def _cmd_minic(args: argparse.Namespace) -> int:
         program = parse(handle.read())
 
     if args.action == "run":
-        factories = {
-            "plain": lambda: PlainDefense(Machine()),
-            "asan": lambda: AsanDefense(Machine()),
-            "rest": lambda: RestDefense(Machine(), protect_stack=True),
-            "rest-heap": lambda: RestDefense(Machine(), protect_stack=False),
-            "mte": lambda: MteDefense(Machine()),
-            "mte-async": lambda: MteDefense(Machine(), check_mode="async"),
-            "mte-asymm": lambda: MteDefense(Machine(), check_mode="asymm"),
-        }
-        defense = factories[args.defense]()
+        defense = make_defense(args.defense)
         try:
             result = Interpreter(program, defense).run(*args.args)
             defense.flush_pending_faults()
@@ -997,18 +916,19 @@ def main(argv=None) -> int:
 
     p_exp = sub.add_parser("experiments", help="regenerate tables/figures")
     p_exp.add_argument("names", nargs="*", metavar="name")
-    p_exp.add_argument("--scale", type=float, default=0.35)
+    p_exp.add_argument("--scale", type=positive_float, default=0.35)
     p_exp.add_argument("--seed", type=int, default=1234)
-    p_exp.add_argument("--jobs", "-j", type=_positive_int, default=1,
+    p_exp.add_argument("--jobs", "-j", type=positive_int, default=1,
                        help="worker processes (1 = in-process)")
-    p_exp.add_argument("--cache", type=_cache_dir, default=None,
+    p_exp.add_argument("--cache", type=cache_dir, default=None,
                        metavar="DIR",
                        help="reuse/populate a result cache directory")
-    p_exp.add_argument("--timeout", type=float, default=None,
+    p_exp.add_argument("--timeout", type=positive_float, default=None,
                        metavar="SECONDS",
                        help="per-unit wall-clock timeout (hung workers "
                             "are killed and re-dispatched)")
-    p_exp.add_argument("--retries", type=int, default=0, metavar="N",
+    p_exp.add_argument("--retries", type=non_negative_int, default=0,
+                       metavar="N",
                        help="extra attempts per failed unit before "
                             "quarantine")
     p_exp.set_defaults(handler=_cmd_experiments)
@@ -1018,16 +938,17 @@ def main(argv=None) -> int:
     )
     p_sweep.add_argument("--seeds", type=int, nargs="+",
                          default=[1, 2, 3, 4, 5])
-    p_sweep.add_argument("--scale", type=float, default=0.1)
-    p_sweep.add_argument("--jobs", "-j", type=_positive_int, default=1)
-    p_sweep.add_argument("--cache", type=_cache_dir, default=None,
+    p_sweep.add_argument("--scale", type=positive_float, default=0.1)
+    p_sweep.add_argument("--jobs", "-j", type=positive_int, default=1)
+    p_sweep.add_argument("--cache", type=cache_dir, default=None,
                          metavar="DIR")
     p_sweep.add_argument("--benchmarks", nargs="*", metavar="name",
                          help="subset of benchmarks (default: all)")
-    p_sweep.add_argument("--timeout", type=float, default=None,
+    p_sweep.add_argument("--timeout", type=positive_float, default=None,
                          metavar="SECONDS",
                          help="per-cell wall-clock timeout")
-    p_sweep.add_argument("--retries", type=int, default=0, metavar="N",
+    p_sweep.add_argument("--retries", type=non_negative_int, default=0,
+                         metavar="N",
                          help="extra attempts per failed cell")
     p_sweep.add_argument("--live", action="store_true",
                          help="stream per-cell sampler snapshots while "
@@ -1039,13 +960,14 @@ def main(argv=None) -> int:
         help="fault-injected sweep must match the fault-free baseline",
     )
     p_chaos.add_argument("--outdir", default="results/chaos", metavar="DIR")
-    p_chaos.add_argument("--scale", type=float, default=0.35)
+    p_chaos.add_argument("--scale", type=positive_float, default=0.35)
     p_chaos.add_argument("--seed", type=int, default=1234)
-    p_chaos.add_argument("--jobs", "-j", type=_positive_int, default=2)
-    p_chaos.add_argument("--timeout", type=float, default=60.0,
+    p_chaos.add_argument("--jobs", "-j", type=positive_int, default=2)
+    p_chaos.add_argument("--timeout", type=positive_float, default=60.0,
                          metavar="SECONDS",
                          help="per-unit timeout for the chaos run")
-    p_chaos.add_argument("--retries", type=int, default=2, metavar="N")
+    p_chaos.add_argument("--retries", type=non_negative_int, default=2,
+                         metavar="N")
     p_chaos.add_argument("--fault-seed", type=int, default=7,
                          help="seed of the fault plan (same seed, same "
                               "chaos)")
@@ -1059,7 +981,8 @@ def main(argv=None) -> int:
     p_chaos.add_argument("--permanent", type=int, default=0, metavar="K",
                          help="make K planned faults unhealable "
                               "(exercises quarantine)")
-    p_chaos.add_argument("--hang-seconds", type=float, default=300.0,
+    p_chaos.add_argument("--hang-seconds", type=positive_float,
+                         default=300.0,
                          help="how long an injected hang sleeps (must "
                               "exceed --timeout)")
     p_chaos.set_defaults(handler=_cmd_chaos)
@@ -1082,16 +1005,16 @@ def main(argv=None) -> int:
     )
     p_fnd.add_argument("--seed", type=int, default=7,
                        help="corpus seed (same seed, same matrix)")
-    p_fnd.add_argument("--cases", type=_positive_int, default=500,
+    p_fnd.add_argument("--cases", type=positive_int, default=500,
                        help="corpus size, round-robin over families")
-    p_fnd.add_argument("--jobs", "-j", type=_positive_int, default=1)
+    p_fnd.add_argument("--jobs", "-j", type=positive_int, default=1)
     p_fnd.add_argument("--defenses", nargs="*", choices=FOUNDRY_DEFENSES,
                        metavar="mode",
                        help="defense modes (default: none asan rest "
                             "softrest mte mte-async)")
     p_fnd.add_argument("--families", nargs="*", metavar="family",
                        help="primitive families (default: all)")
-    p_fnd.add_argument("--cache", type=_cache_dir, default=None,
+    p_fnd.add_argument("--cache", type=cache_dir, default=None,
                        metavar="DIR",
                        help="reuse/populate a shard result cache")
     p_fnd.add_argument("--out", default=None, metavar="FILE",
@@ -1103,10 +1026,11 @@ def main(argv=None) -> int:
     p_fnd.add_argument("--strict", action="store_true",
                        help="fail (exit 1) on oracle mispredictions or "
                             "sound-oracle ASan misses")
-    p_fnd.add_argument("--timeout", type=float, default=None,
+    p_fnd.add_argument("--timeout", type=positive_float, default=None,
                        metavar="SECONDS",
                        help="per-shard wall-clock timeout")
-    p_fnd.add_argument("--retries", type=int, default=0, metavar="N",
+    p_fnd.add_argument("--retries", type=non_negative_int, default=0,
+                       metavar="N",
                        help="extra attempts per failed shard")
     p_fnd.set_defaults(handler=_cmd_foundry)
 
@@ -1166,7 +1090,7 @@ def main(argv=None) -> int:
     p_bench.add_argument("--benchmark", default="xalancbmk")
     p_bench.add_argument("--scale", type=float, default=0.5)
     p_bench.add_argument("--seed", type=int, default=1234)
-    p_bench.add_argument("--repeats", type=_positive_int, default=5)
+    p_bench.add_argument("--repeats", type=positive_int, default=5)
     p_bench.add_argument("--out", default=None, metavar="FILE",
                          help="write the manifest JSON here")
     p_bench.add_argument("--baseline", default=None, metavar="FILE",
@@ -1186,10 +1110,10 @@ def main(argv=None) -> int:
     p_run.add_argument("--modes", nargs="*", metavar="mode",
                        help="defense modes (default: plain asan "
                             "rest-secure rest-debug)")
-    p_run.add_argument("--sample-interval", type=_positive_int,
+    p_run.add_argument("--sample-interval", type=positive_int,
                        default=None, metavar="N",
                        help="cycles per time-series sample")
-    p_run.add_argument("--ring", type=_positive_int, default=1 << 16,
+    p_run.add_argument("--ring", type=positive_int, default=1 << 16,
                        help="event ring-buffer capacity")
     p_run.add_argument("--trace-out", action="store_true",
                        help="export structured events as JSONL")
@@ -1209,7 +1133,7 @@ def main(argv=None) -> int:
                         help="baseline mode (default plain)")
     p_diff.add_argument("--b", default="rest-debug", metavar="MODE",
                         help="compared mode (default rest-debug)")
-    p_diff.add_argument("--top", type=_positive_int, default=20,
+    p_diff.add_argument("--top", type=positive_int, default=20,
                         help="top delta PCs to keep")
     p_diff.add_argument("--out", default=None, metavar="FILE",
                         help="artifact path (default: "
@@ -1240,15 +1164,16 @@ def main(argv=None) -> int:
         "serve", help="run the simulation job daemon (SIGTERM drains)"
     )
     add_endpoint_flags(p_serve)
-    p_serve.add_argument("--slots", type=_positive_int, default=2,
+    p_serve.add_argument("--slots", type=positive_int, default=2,
                          help="concurrent simulations")
-    p_serve.add_argument("--max-jobs", type=_positive_int, default=8,
+    p_serve.add_argument("--max-jobs", type=positive_int, default=8,
                          help="open-job admission limit (excess submits "
                               "get a structured queue_full rejection)")
-    p_serve.add_argument("--timeout", type=float, default=None,
+    p_serve.add_argument("--timeout", type=positive_float, default=None,
                          metavar="SECONDS",
                          help="per-unit wall-clock timeout")
-    p_serve.add_argument("--retries", type=int, default=0, metavar="N",
+    p_serve.add_argument("--retries", type=non_negative_int, default=0,
+                         metavar="N",
                          help="extra attempts per failed unit")
     p_serve.add_argument("--drain-grace", type=float, default=10.0,
                          metavar="SECONDS",
@@ -1257,14 +1182,14 @@ def main(argv=None) -> int:
                          help="run as fabric coordinator: units execute "
                               "on registered workers (repro worker), "
                               "capacity tracks the worker fleet")
-    p_serve.add_argument("--heartbeat", type=float, default=1.0,
+    p_serve.add_argument("--heartbeat", type=positive_float, default=1.0,
                          metavar="SECONDS",
                          help="coordinator: worker heartbeat interval")
-    p_serve.add_argument("--miss-factor", type=float, default=3.0,
+    p_serve.add_argument("--miss-factor", type=positive_float, default=3.0,
                          metavar="X",
                          help="coordinator: heartbeats a worker may miss "
                               "before its leases are revoked")
-    p_serve.add_argument("--unit-retries", type=int, default=2,
+    p_serve.add_argument("--unit-retries", type=non_negative_int, default=2,
                          metavar="N",
                          help="coordinator: reassignments a unit gets "
                               "after worker deaths before quarantine")
@@ -1279,14 +1204,14 @@ def main(argv=None) -> int:
                           help="coordinator TCP endpoint")
     p_worker.add_argument("--name", default=None,
                           help="worker name (default: coordinator assigns)")
-    p_worker.add_argument("--slots", type=_positive_int, default=2,
+    p_worker.add_argument("--slots", type=positive_int, default=2,
                           help="concurrent supervised simulations")
     p_worker.add_argument("--state-dir", default=None, metavar="DIR",
                           help="write worker.log here (default: stdout)")
     p_worker.add_argument("--no-reconnect", action="store_true",
                           help="exit instead of redialing a lost "
                                "coordinator")
-    p_worker.add_argument("--reconnect-tries", type=_positive_int,
+    p_worker.add_argument("--reconnect-tries", type=positive_int,
                           default=30, metavar="N",
                           help="consecutive failed dials before giving up")
     p_worker.set_defaults(handler=_cmd_worker)
@@ -1313,16 +1238,16 @@ def main(argv=None) -> int:
                         help="CI shape: 100 submissions, 12 cells")
     p_load.add_argument("--seed", type=int, default=11)
     p_load.add_argument("--fault-seed", type=int, default=7)
-    p_load.add_argument("--submissions", type=_positive_int, default=400)
-    p_load.add_argument("--unique-cells", type=_positive_int, default=24)
-    p_load.add_argument("--threads", type=_positive_int, default=8,
+    p_load.add_argument("--submissions", type=positive_int, default=400)
+    p_load.add_argument("--unique-cells", type=positive_int, default=24)
+    p_load.add_argument("--threads", type=positive_int, default=8,
                         help="concurrent client threads")
     p_load.add_argument("--workers", type=int, nargs="*", metavar="N",
                         help="worker-count curve (default: 1 2)")
-    p_load.add_argument("--slots", type=_positive_int, default=2,
+    p_load.add_argument("--slots", type=positive_int, default=2,
                         help="slots per worker")
     p_load.add_argument("--scale", type=float, default=0.05)
-    p_load.add_argument("--chaos-workers", type=_positive_int, default=2)
+    p_load.add_argument("--chaos-workers", type=positive_int, default=2)
     p_load.add_argument("--kills", type=int, default=1,
                         help="seeded mid-flight worker SIGKILLs")
     p_load.add_argument("--permanent", type=int, default=1,
@@ -1355,7 +1280,7 @@ def main(argv=None) -> int:
                        help="sweep: seeds (default 1..5)")
     p_sub.add_argument("--no-live", action="store_true",
                        help="sweep: skip live sampler streaming")
-    p_sub.add_argument("--sample-interval", type=_positive_int,
+    p_sub.add_argument("--sample-interval", type=positive_int,
                        default=None, metavar="N",
                        help="sweep: cycles per live sample")
     p_sub.set_defaults(handler=_cmd_submit)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.cpu.pipeline import CoreConfig
-from repro.experiments.common import cli_main
 from repro.harness.configs import DefenseSpec, SimulationConfig
 from repro.harness.experiment import Cell, suite_cells, suite_results
 from repro.harness.reporting import bar_chart, format_table
@@ -102,6 +101,3 @@ def regenerate(
 ) -> str:
     return render(run(scale=scale, seed=seed, values=values))
 
-
-if __name__ == "__main__":
-    cli_main(regenerate, __doc__.splitlines()[0])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import DEFAULT_SCALE, cli_main, make_config
+from repro.experiments.common import DEFAULT_SCALE, make_config
 from repro.harness.configs import figure8_specs
 from repro.harness.experiment import Cell, suite_cells, suite_results
 from repro.harness.metrics import geo_mean_overhead, weighted_mean_overhead
@@ -87,6 +87,3 @@ def regenerate(
 ) -> str:
     return render(run(scale=scale, seed=seed, values=values))
 
-
-if __name__ == "__main__":
-    cli_main(regenerate, __doc__.splitlines()[0])

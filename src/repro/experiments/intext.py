@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.modes import Mode
-from repro.experiments.common import DEFAULT_SCALE, cli_main, make_config
+from repro.experiments.common import DEFAULT_SCALE, make_config
 from repro.harness.configs import DefenseSpec
 from repro.harness.experiment import (
     Cell,
@@ -147,6 +147,3 @@ def regenerate(
     )
     return "\n\n".join(lines)
 
-
-if __name__ == "__main__":
-    cli_main(regenerate, __doc__.splitlines()[0])

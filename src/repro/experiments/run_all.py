@@ -45,6 +45,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.argtypes import (
+    cache_dir,
+    non_negative_int,
+    positive_float,
+    positive_int,
+)
 from repro.harness.parallel import (
     ResultCache,
     UnitResult,
@@ -75,6 +81,10 @@ EXPERIMENT_SCALES = {
     #: (written as ``stalls.json``; rendered by ``repro report``).
     "stalls": None,
 }
+
+#: Experiments run only when named (``repro experiments attackmatrix``),
+#: never as part of the default sweep.
+ON_REQUEST = ("attackmatrix",)
 
 #: Units that live outside ``repro.experiments`` and/or write something
 #: other than a ``.txt`` file: name -> (module, output filename).
@@ -149,6 +159,15 @@ def check_scale(scale) -> None:
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
 
 
+def _check_known(names: Iterable[str], known) -> None:
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(
+            f"unknown experiment(s): {', '.join(unknown)}; "
+            f"known: {', '.join(known)}"
+        )
+
+
 def experiment_units(
     scale: float,
     seed: int,
@@ -158,11 +177,14 @@ def experiment_units(
     """Plan a sweep: the shard and experiment units, and what each
     experiment folds.
 
-    ``names`` restricts the sweep to a subset (request order, duplicates
-    collapsed); an unknown name or a scale that is not positive and
-    finite raises ``ValueError`` so callers — including the job
-    service's admission control — reject bad requests up front instead
-    of failing mid-sweep.
+    ``scales`` maps experiment names to scale overrides (default:
+    :data:`EXPERIMENT_SCALES`); any name of it or of
+    :data:`ON_REQUEST` may appear.  ``names`` restricts the sweep to a
+    subset of ``scales`` (request order, duplicates collapsed).  An
+    unknown name or a scale that is not positive and finite raises
+    ``ValueError`` so callers — the CLIs and the job service's
+    admission control — reject bad requests up front instead of
+    failing mid-sweep.
     """
     from repro.harness.experiment import cell_key, config_key, spec_content
 
@@ -170,13 +192,9 @@ def experiment_units(
     scales = EXPERIMENT_SCALES if scales is None else scales
     if names is not None:
         names = list(dict.fromkeys(names))
-        unknown = [name for name in names if name not in scales]
-        if unknown:
-            raise ValueError(
-                f"unknown experiment(s): {', '.join(unknown)}; "
-                f"known: {', '.join(scales)}"
-            )
+        _check_known(names, scales)
         scales = {name: scales[name] for name in names}
+    _check_known(scales, [*EXPERIMENT_SCALES, *ON_REQUEST])
     units: List[WorkUnit] = []
     experiments: Dict[str, PlannedExperiment] = {}
     shards: Dict[Tuple[str, str], _Shard] = {}
@@ -501,63 +519,21 @@ def run_all(
     return out
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive, finite number, got {text}"
-        )
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _cache_dir(text: str) -> str:
-    if Path(text).is_file():
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is a file, not a cache directory"
-        )
-    return text
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="results")
-    parser.add_argument("--scale", type=_positive_float, default=0.5)
+    parser.add_argument("--scale", type=positive_float, default=0.5)
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument(
         "--jobs",
         "-j",
-        type=_positive_int,
+        type=positive_int,
         default=1,
         help="worker processes (1 = run in-process)",
     )
     parser.add_argument(
         "--cache-dir",
-        type=_cache_dir,
+        type=cache_dir,
         default=None,
         help="result cache location (default: <outdir>/cache)",
     )
@@ -568,7 +544,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--timeout",
-        type=_positive_float,
+        type=positive_float,
         default=None,
         metavar="SECONDS",
         help="per-unit wall-clock timeout (hung workers are killed "
@@ -576,7 +552,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--retries",
-        type=_non_negative_int,
+        type=non_negative_int,
         default=0,
         metavar="N",
         help="extra attempts per failed unit before quarantine",

@@ -15,7 +15,6 @@ from repro.analysis import (
 )
 from repro.analysis.coverage import ATTACK_CLASSES
 from repro.defenses import AsanDefense, PlainDefense, RestDefense
-from repro.experiments.common import cli_main
 from repro.harness.reporting import format_table
 from repro.runtime.machine import Machine
 
@@ -98,6 +97,3 @@ def regenerate(scale: float = 1.0, seed: int = 1234) -> str:
         [_coverage_table(), _quarantine_table(), _width_table()]
     )
 
-
-if __name__ == "__main__":
-    cli_main(regenerate, __doc__.splitlines()[0])

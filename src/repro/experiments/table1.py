@@ -9,13 +9,10 @@ from __future__ import annotations
 
 from typing import Callable, List, Tuple
 
-import pytest  # noqa: F401  (documentational: mirrored by tests/)
-
 from repro.cache.cache import CacheConfig
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.core import Mode, RestException, Token, TokenConfigRegister
 from repro.cpu.lsq import LoadStoreQueue, SqEntryKind
-from repro.experiments.common import cli_main
 from repro.harness.reporting import format_table
 
 
@@ -192,6 +189,3 @@ def regenerate(scale: float = 1.0, seed: int = 1234) -> str:
         title="Table I conformance: actions on operations for L1-D hits/misses",
     )
 
-
-if __name__ == "__main__":
-    cli_main(regenerate, __doc__.splitlines()[0])

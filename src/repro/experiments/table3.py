@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.defenses import AsanDefense, PlainDefense, RestDefense
-from repro.experiments.common import cli_main
 from repro.harness.reporting import format_table
 from repro.runtime.machine import Machine
 from repro.workloads.attacks import ATTACK_REGISTRY, AttackOutcome, run_attack
@@ -160,6 +159,3 @@ def regenerate(scale: float = 1.0, seed: int = 1234) -> str:
         + _hardware_cost_table()
     )
 
-
-if __name__ == "__main__":
-    cli_main(regenerate, __doc__.splitlines()[0])

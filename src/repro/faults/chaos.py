@@ -54,19 +54,41 @@ class ChaosReport:
     problems: List[str] = field(default_factory=list)
 
 
-def _experiment_records(manifest: Dict, exclude: Sequence[str]) -> Dict:
-    return {
+def sweep_mismatches(
+    baseline_dir: Path, chaos_dir: Path, degraded: Sequence[str]
+) -> List[str]:
+    """The chaos verdict: one line per experiment not in ``degraded``
+    (those needing a quarantined unit) whose ``strip_volatile``
+    manifest record or artifact bytes differ between two sweep
+    directories; empty means identical.  An experiment is reported
+    once, for its record if that differs, else for its artifact."""
+    baseline = json.loads((baseline_dir / "manifest.json").read_text())
+    chaos = json.loads((chaos_dir / "manifest.json").read_text())
+    base_records = {
         name: record
-        for name, record in manifest.get("experiments", {}).items()
-        if name not in exclude
+        for name, record in baseline.get("experiments", {}).items()
+        if name not in degraded
     }
+    chaos_records = {
+        name: record
+        for name, record in chaos.get("experiments", {}).items()
+        if name not in degraded
+    }
+    mismatches: List[str] = []
+    for name in sorted(set(base_records) | set(chaos_records)):
+        record = base_records.get(name)
+        if strip_volatile(record) != strip_volatile(chaos_records.get(name)):
+            mismatches.append(f"{name}: manifest record differs")
+            continue
+        filename = record.get("file")
+        if not filename or record.get("status") != "ok":
+            continue
+        if _read(baseline_dir / filename) != _read(chaos_dir / filename):
+            mismatches.append(f"{name}: artifact bytes differ")
+    return mismatches
 
 
-def _artifact_bytes(outdir: Path, record: Dict) -> Optional[bytes]:
-    name = record.get("file")
-    if not name:
-        return None
-    path = outdir / name
+def _read(path: Path) -> Optional[bytes]:
     return path.read_bytes() if path.is_file() else None
 
 
@@ -148,7 +170,6 @@ def run_chaos(
         if previous_plan is not None:
             os.environ[ENV_VAR] = previous_plan
 
-    baseline = json.loads((baseline_dir / "manifest.json").read_text())
     chaos = json.loads((chaos_dir / "manifest.json").read_text())
     quarantined = sorted(chaos.get("quarantine", {}))
     expected = set(plan.permanent_uids())
@@ -166,23 +187,9 @@ def run_chaos(
             )
 
     # A quarantined shard takes down every experiment that needs it.
-    degraded = units.dependents(quarantined)
-    mismatches: List[str] = []
-    base_records = _experiment_records(baseline, degraded)
-    chaos_records = _experiment_records(chaos, degraded)
-    if strip_volatile(base_records) != strip_volatile(chaos_records):
-        for name in sorted(set(base_records) | set(chaos_records)):
-            if strip_volatile(base_records.get(name)) != strip_volatile(
-                chaos_records.get(name)
-            ):
-                mismatches.append(f"{name}: manifest record differs")
-    for name, record in sorted(base_records.items()):
-        if name in mismatches or record.get("status") != "ok":
-            continue
-        if _artifact_bytes(baseline_dir, record) != _artifact_bytes(
-            chaos_dir, chaos_records.get(name, {})
-        ):
-            mismatches.append(f"{name}: artifact bytes differ")
+    mismatches = sweep_mismatches(
+        baseline_dir, chaos_dir, units.dependents(quarantined)
+    )
 
     report = ChaosReport(
         ok=not problems and not mismatches,

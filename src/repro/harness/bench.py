@@ -72,10 +72,6 @@ def bench_specs():
     }
 
 
-#: Backwards-compatible private alias.
-_bench_specs = bench_specs
-
-
 def run_bench(
     benchmark: str = "xalancbmk",
     scale: float = 0.5,

@@ -55,19 +55,17 @@ the caller's.  :func:`strip_volatile` removes exactly the fields that
 vary run-to-run so determinism comparisons and regression diffs can
 ignore them.
 
-**Progress channel.**  A caller may pass ``progress_queue=`` (a
-``multiprocessing`` queue from :func:`_mp_context`) to
-:func:`execute_units`; workers then have :func:`emit_progress`
+**Progress channel.**  A caller may pass an ``on_progress=`` callable
+to :func:`execute_units`; units then have :func:`emit_progress`
 installed, and anything the unit's target calls it with — interval
 sampler snapshots, custom milestones — is tagged with the unit id and
-streamed to the parent *while the unit runs*, not after: it travels
-over the attempt's result pipe, ahead of the result, and the executor
-hands it to the queue (the job service routes it to watchers).  This
-is what ``repro sweep --live`` and the job service's ``repro watch``
-render.
-With no queue installed :func:`emit_progress` is a dormant
-``is None`` check, so cache keys, results, and the hot path are
-unaffected.
+handed to the callable in the parent *while the unit runs*, not after:
+inline units call it directly, supervised attempts send the event over
+their result pipe, ahead of the result (the job service routes it to
+watchers).  This is what ``repro sweep --live`` and the job service's
+``repro watch`` render.  With no callable installed
+:func:`emit_progress` is a dormant ``is None`` check, so cache keys,
+results, and the hot path are unaffected.
 """
 
 from __future__ import annotations
@@ -923,7 +921,7 @@ def execute_units(
     backoff: float = 0.25,
     retry_seed: int = 0,
     tracer=None,
-    progress_queue=None,
+    on_progress: Optional[Callable[[dict], None]] = None,
     on_result: Optional[Callable[[UnitResult], None]] = None,
 ) -> Dict[str, UnitResult]:
     """Run every unit, in parallel when ``jobs > 1``; returns {uid: result}.
@@ -947,10 +945,8 @@ def execute_units(
     worker process, whose own attempt is already supervised — units
     run inline, in order.
 
-    ``progress_queue`` (a queue from this engine's multiprocessing
-    context) installs the live progress channel in every worker: unit
-    targets that call :func:`emit_progress` stream uid-tagged events to
-    the parent while running.  The caller owns draining the queue.
+    ``on_progress`` receives, in this process, every uid-tagged event
+    that unit targets send with :func:`emit_progress` while they run.
 
     ``on_result`` sees every final result as it lands — cache hits
     first, in unit order, then executed units in completion order.
@@ -1009,23 +1005,22 @@ def execute_units(
         jobs <= 1 and not is_resilient(timeout, retries)
     ):
         previous = _PROGRESS_SINK
-        if progress_queue is not None:
-            install_progress(progress_queue.put)
+        if on_progress is not None:
+            install_progress(on_progress)
         try:
             for unit in pending:
                 absorb(_execute_task(
                     (unit.uid, unit.module, unit.func, unit.kwargs, 1)
                 ))
         finally:
-            if progress_queue is not None:
+            if on_progress is not None:
                 install_progress(previous)
         return results
 
     import asyncio
 
     executor = UnitExecutor(
-        progress_queue.put if progress_queue is not None else None,
-        RetryPolicy(timeout, retries, backoff, retry_seed),
+        on_progress, RetryPolicy(timeout, retries, backoff, retry_seed)
     )
     def emit(kind: str, info: dict) -> None:
         if tracer is not None and getattr(tracer, "enabled", False):

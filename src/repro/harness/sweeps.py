@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.harness.configs import DefenseSpec, SimulationConfig
 from repro.harness.experiment import run_benchmark
@@ -225,7 +225,7 @@ def seed_sweep(
     tracer=None,
     live: bool = False,
     sample_interval: Optional[int] = None,
-    progress_queue=None,
+    on_progress: Optional[Callable[[dict], None]] = None,
 ) -> Dict[str, SweepResult]:
     """Run the suite once per seed; returns overhead stats per spec.
 
@@ -240,7 +240,7 @@ def seed_sweep(
     no meaningful degraded result).
 
     ``live=True`` runs each cell through the interval sampler and
-    streams snapshots over ``progress_queue`` while the cell executes
+    hands its snapshots to ``on_progress`` while the cell executes
     (``repro sweep --live``); results and cache keys are unaffected.
     """
     if not seeds:
@@ -262,7 +262,7 @@ def seed_sweep(
         backoff=backoff,
         retry_seed=min(seeds),
         tracer=tracer,
-        progress_queue=progress_queue,
+        on_progress=on_progress,
     )
     raise_on_failed_cells(results)
     values = {uid: result.value for uid, result in results.items()}

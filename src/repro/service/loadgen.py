@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.faults.chaos import sweep_mismatches
 from repro.faults.plan import FaultPlan, WorkerKillPlan
-from repro.harness.parallel import strip_volatile
 from repro.service.client import ServiceClient, ServiceError, wait_for_daemon
 
 #: Format tag of the committed benchmark artifact.
@@ -492,45 +492,6 @@ def _execute_kill_plan(
     return executed
 
 
-def _manifest_identity(
-    baseline_dir: Path, chaos_dir: Path, degraded: List[str]
-) -> List[str]:
-    """Mismatch list (empty = identical) for every experiment not in
-    ``degraded`` (those needing a quarantined unit)."""
-    baseline = json.loads((baseline_dir / "manifest.json").read_text())
-    chaos = json.loads((chaos_dir / "manifest.json").read_text())
-    mismatches: List[str] = []
-    base_records = {
-        name: record
-        for name, record in baseline.get("experiments", {}).items()
-        if name not in degraded
-    }
-    chaos_records = {
-        name: record
-        for name, record in chaos.get("experiments", {}).items()
-        if name not in degraded
-    }
-    for name in sorted(set(base_records) | set(chaos_records)):
-        if strip_volatile(base_records.get(name)) != strip_volatile(
-            chaos_records.get(name)
-        ):
-            mismatches.append(f"{name}: manifest record differs")
-            continue
-        record = base_records.get(name) or {}
-        filename = record.get("file")
-        if not filename or record.get("status") != "ok":
-            continue
-        base_file = baseline_dir / filename
-        chaos_file = chaos_dir / filename
-        base_bytes = base_file.read_bytes() if base_file.is_file() else None
-        chaos_bytes = (
-            chaos_file.read_bytes() if chaos_file.is_file() else None
-        )
-        if base_bytes != chaos_bytes:
-            mismatches.append(f"{name}: artifact bytes differ")
-    return mismatches
-
-
 def run_chaos_phase(options: LoadgenOptions, say) -> Dict:
     out = Path(options.out)
     from repro.experiments.run_all import experiment_units
@@ -617,7 +578,7 @@ def run_chaos_phase(options: LoadgenOptions, say) -> Dict:
     chaos_manifest = json.loads((chaos_run / "manifest.json").read_text())
     quarantine_actual = sorted(chaos_manifest.get("quarantine", {}))
     quarantine_expected = fault_plan.permanent_uids()
-    mismatches = _manifest_identity(
+    mismatches = sweep_mismatches(
         baseline_run, chaos_run, units.dependents(quarantine_actual)
     )
     identity = (

@@ -59,6 +59,52 @@ class TestCliRobustness:
         assert code == 0
         assert "detection coverage" in output
 
+    def test_experiments_cli_prints_regenerate_texts(self):
+        """The planner's sharded, deduplicated run renders exactly what
+        each module's own ``regenerate`` returns, in request order."""
+        from repro.experiments import fig7, fig8, intext
+
+        code, output = run_cli(
+            ["experiments", "fig7", "fig8", "intext", "--scale", "0.02",
+             "--jobs", "2"]
+        )
+        assert code == 0
+        rule = "=" * 72
+        assert output == "".join(
+            f"\n{rule}\n{name}\n{rule}\n"
+            f"{module.regenerate(scale=0.02, seed=1234)}\n"
+            for name, module in (
+                ("fig7", fig7), ("fig8", fig8), ("intext", intext)
+            )
+        )
+
+    def test_experiments_default_set_is_run_alls(self, monkeypatch):
+        """No names: run_all's set (stalls included), every experiment
+        at --scale; attackmatrix only by name."""
+        import repro.experiments.run_all as driver
+        import repro.harness.parallel as parallel
+
+        planned = []
+
+        def fake_execute(units, **_):
+            planned.append(units)
+            return {}
+
+        def fake_outcome(plan, name, results):
+            return "ok", f"{name} at {plan.experiments[name].scale}", None
+
+        monkeypatch.setattr(parallel, "execute_units", fake_execute)
+        monkeypatch.setattr(driver, "experiment_outcome", fake_outcome)
+        code, output = run_cli(["experiments", "--scale", "0.05"])
+        assert code == 0
+        plan = planned[0]
+        assert list(plan.experiments) == list(driver.EXPERIMENT_SCALES)
+        assert "stalls" in plan.experiments
+        assert {e.scale for e in plan.experiments.values()} == {0.05}
+        assert "attackmatrix" not in output
+        code, output = run_cli(["experiments", "attackmatrix"])
+        assert code == 0 and "attackmatrix at 0.35" in output
+
 
 class TestParserCorners:
     def _run(self, source, *args):
@@ -151,6 +197,55 @@ class TestArgumentValidation:
         not_a_dir = tmp_path / "cache.json"
         not_a_dir.write_text("{}")
         self._expect_usage_exit(["sweep", "--cache", str(not_a_dir)])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiments", "--timeout", "0", "table2"],
+            ["experiments", "--retries", "-1", "table2"],
+            ["experiments", "--scale", "0", "table2"],
+            ["experiments", "--scale", "nan", "table2"],
+            ["foundry", "--cases", "1", "--defenses", "none",
+             "--timeout", "0"],
+            ["foundry", "--cases", "1", "--defenses", "none",
+             "--retries", "-1"],
+            ["sweep", "--seeds", "1", "--benchmarks", "bzip2",
+             "--timeout", "0"],
+            ["sweep", "--seeds", "1", "--benchmarks", "bzip2",
+             "--scale", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_resilience_values_are_usage_errors(self, argv):
+        self._expect_usage_exit(argv)
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("serve", ["--timeout", "0"]),
+            ("serve", ["--retries", "-1"]),
+            ("serve", ["--coordinator", "--heartbeat", "0"]),
+            ("serve", ["--coordinator", "--unit-retries", "-1"]),
+            ("chaos", ["--timeout", "0"]),
+            ("chaos", ["--hang-seconds", "0"]),
+            ("chaos", ["--retries", "-1"]),
+            ("chaos", ["--scale", "inf"]),
+        ],
+    )
+    def test_long_running_commands_reject_bad_values_up_front(
+        self, monkeypatch, command, flags
+    ):
+        """Rejected before the daemon starts or the baseline sweep
+        runs: stand-ins for both must never be reached."""
+        import repro.faults.chaos as chaos
+        import repro.service.daemon as daemon
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{command} started with {flags}")
+
+        monkeypatch.setattr(daemon, "serve", never)
+        monkeypatch.setattr(chaos, "run_chaos", never)
+        self._expect_usage_exit([command, *flags])
 
     def test_run_all_rejects_zero_jobs(self):
         from repro.experiments.run_all import main as run_all_main
@@ -285,8 +380,9 @@ class TestSweepCli:
     ARGS = ["sweep", "--seeds", "1", "--benchmarks", "bzip2",
             "--scale", "0.02"]
 
-    def test_live_streams_sampler_lines(self):
-        code, out = run_cli(self.ARGS + ["--live"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_live_streams_sampler_lines(self, jobs):
+        code, out = run_cli(self.ARGS + ["--live", "--jobs", jobs])
         assert code == 0
         # At least one in-flight sampler snapshot was rendered, tagged
         # with the cell id, before the summary table.

@@ -545,6 +545,33 @@ class TestChaosIdentity:
         )
         assert code == 0
 
+    def test_record_mismatch_reported_once(
+        self, tmp_path, fast_experiments, monkeypatch
+    ):
+        """A chaos record that differs from the baseline is one
+        mismatch, not also an artifact-bytes mismatch."""
+
+        def fake_run_all(outdir, **_):
+            faulted = ENV_VAR in os.environ
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / "table1.txt").write_text(
+                "chaos" if faulted else "baseline"
+            )
+            record = {"status": "ok", "file": "table1.txt",
+                      "scale": 0.9 if faulted else 0.05}
+            (outdir / "manifest.json").write_text(json.dumps(
+                {"experiments": {"table1": record}, "quarantine": {}}
+            ))
+            return outdir
+
+        monkeypatch.setattr(driver, "run_all", fake_run_all)
+        report = run_chaos(
+            tmp_path / "chaos", scale=0.05, kinds=("transient",),
+            quiet=True,
+        )
+        assert report.mismatches == ["table1: manifest record differs"]
+        assert not report.ok
+
     def test_chaos_cli_rejects_unknown_kind(self, tmp_path):
         from repro.__main__ import main
 

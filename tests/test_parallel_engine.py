@@ -108,7 +108,41 @@ class TestCacheKeyPins:
             "70ddef84c8c3b70ace2189d4752d6aee",
         }
 
+    #: ``experiment_units(0.35, 1234, scales={"fig7": None})``: the
+    #: shards ``repro experiments fig7`` plans at its default scale.
+    FIG7_SHARD_KEYS = {
+        f"cells/b19a2b40/{benchmark}": key
+        for benchmark, key in [
+            ("bzip2", "c7765e37cd2c4472820d5349185b9d26"
+                      "bffd02c8a854530b504d0fb6dbab4d7f"),
+            ("gobmk", "407179f381f686d3a50587dcd4271ea3"
+                      "a1cffb3da1c555f75a244a4b73a7a1b7"),
+            ("gcc", "420da083af32ec8fa8c05b94e396cf2d"
+                    "5ff0530c2c4d256e00ae919acda5fc0c"),
+            ("libquantum", "13ef1dd93837c74865cd3ead4870ca25"
+                           "d20eb975e23cb0834b7079944ee3c995"),
+            ("astar", "3e1d93d3879ba19371a8709c5f601b7c"
+                      "2053992d49cf3c6bdcfe29b6b277f40c"),
+            ("h264ref", "ac58b0539089cc6a3844795f83f01247"
+                        "e252f4c508f2050826ab73446558c15f"),
+            ("lbm", "1e6e7b802f102e2032acd20123fd1965"
+                    "725039bb799f0f66a743164badda2906"),
+            ("namd", "280bfc80ed410c809b9a836f2ccfb00b"
+                     "1c4c181776402700803b5a5e7b40dd51"),
+            ("sjeng", "d058b8487453e52f245f612446fa26eb"
+                      "6f487ff06464a3c6e8c05900347ded20"),
+            ("soplex", "0b245387e3401ef8ecab500849ea2e06"
+                       "a431567124328c788ed6e6e4e0553d1b"),
+            ("xalancbmk", "89d3b456a941a1b661d04804d458ba91"
+                          "662caac3af5dd3f4f694b294d044704d"),
+            ("hmmer", "88d9c7bfda4770100e673e5d64b6c772"
+                      "2cc6cf44483bedd8987ee2672703439f"),
+        ]
+    }
+
     def test_experiments_cli_unit_key(self, monkeypatch):
+        """``repro experiments fig7`` plans through run_all's planner:
+        its units are fig7's shards, with the planner's keys."""
         import repro.harness.parallel as parallel
         from repro.__main__ import main
         from repro.harness.parallel import UnitResult
@@ -118,16 +152,50 @@ class TestCacheKeyPins:
         def fake_execute(units, **_):
             captured.extend(units)
             return {
-                unit.uid: UnitResult(uid=unit.uid, ok=True, value="")
+                unit.uid: UnitResult(
+                    uid=unit.uid,
+                    ok=False,
+                    error={"type": "NotRun", "message": "planning only"},
+                )
                 for unit in units
             }
 
         monkeypatch.setattr(parallel, "execute_units", fake_execute)
-        assert main(["experiments", "fig7"]) == 0
-        assert [unit.cache_key() for unit in captured] == [
-            "4deaf7090cd6aab9f51e1692895de031"
-            "cea34d7c209c616dfef2e0181ad2a242"
+        assert main(["experiments", "fig7"]) == 1
+        assert {
+            unit.uid: unit.cache_key() for unit in captured
+        } == self.FIG7_SHARD_KEYS
+        plan = driver.experiment_units(0.35, 1234, scales={"fig7": None})
+        assert {
+            unit.uid: unit.cache_key() for unit in plan
+        } == self.FIG7_SHARD_KEYS
+
+    def test_run_all_plan_keys(self):
+        """run_all's own plan: unit order and every unit's key."""
+        import hashlib
+
+        plan = driver.experiment_units(0.1, 1)
+        shards = [
+            f"cells/{config}/{benchmark}"
+            for config in ("35c0c627", "69227d4f", "e30521c2")
+            for benchmark in (
+                "bzip2", "gobmk", "gcc", "libquantum", "astar",
+                "h264ref", "lbm", "namd", "sjeng", "soplex",
+                "xalancbmk", "hmmer",
+            )
         ]
+        assert [unit.uid for unit in plan] == [
+            "table1", "table2", "table3", "memoverhead", "security",
+            "defensezoo", *shards,
+        ]
+        keys = {unit.uid: unit.cache_key() for unit in plan}
+        digest = hashlib.sha256(
+            json.dumps(keys, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == (
+            "9b5a2d5a7e642569120db5e3f7c9814d"
+            "7b2d6eee88808f2a81187dc5b881ebdf"
+        )
 
 
 class TestDeterminism:
